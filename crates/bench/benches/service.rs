@@ -59,13 +59,7 @@ fn bench_service_sessions(c: &mut Criterion) {
             },
         );
 
-        let mut service = RoundService::<SumObjective>::new(
-            &g0,
-            ServiceConfig {
-                pipelined: true,
-                ..ServiceConfig::default()
-            },
-        );
+        let mut service = RoundService::<SumObjective>::new(&g0, ServiceConfig::default());
         // Warm the service (pools, lazy allocations) outside the timer —
         // steady state is the claim under measurement.
         black_box(service.replay_session(&stream, &mut NullSink).result.rounds);

@@ -756,7 +756,7 @@ mod perf_gate {
     /// session time and turn the gate into a coin flip).
     #[test]
     #[ignore = "perf gate — run by the CI bench-smoke job (release only)"]
-    fn pipelined_service_beats_per_session_replay() {
+    fn warm_service_beats_per_session_replay() {
         use bncg_core::objective::SumObjective;
         use bncg_dynamics::service::{RoundService, ServiceConfig};
         use bncg_dynamics::sink::NullSink;
@@ -769,13 +769,7 @@ mod perf_gate {
             stream.iter().all(|r| r.len() == 2),
             "round synthesis came up short"
         );
-        let mut service = RoundService::<SumObjective>::new(
-            &g0,
-            ServiceConfig {
-                pipelined: true,
-                ..ServiceConfig::default()
-            },
-        );
+        let mut service = RoundService::<SumObjective>::new(&g0, ServiceConfig::default());
         // Warm both arms (pools, lazy allocations); the warm-up session
         // also proves the palindrome restores the start state, so every
         // measured session replays the identical workload.

@@ -36,18 +36,10 @@ fn variant_stream<R: bncg_core::rules::GameRules>(
 ) {
     let game = rules.name().to_string();
     let mut sink = bncg_dynamics::MemorySink::new();
-    let engine_label = if opts.pipelined {
-        let engine =
-            bncg_dynamics::PipelinedRoundDynamics::with_rules(RoundConfig::default(), rules);
-        let _ = engine.run_with_sink(start, &mut sink);
-        "pipelined round engine"
-    } else {
-        let engine = bncg_dynamics::RoundDynamics::with_rules(RoundConfig::default(), rules);
-        let _ = engine.run_with_sink(start, &mut sink);
-        "round engine"
-    };
+    let engine = bncg_dynamics::RoundDynamics::with_rules(RoundConfig::default(), rules);
+    let _ = engine.run_with_sink(start, &mut sink);
     out.push_str(&format!(
-        "\nStreaming round records (one {engine_label}, game `{game}`, n = {n}):\n\n"
+        "\nStreaming round records (one round engine, game `{game}`, n = {n}):\n\n"
     ));
     out.push_str(&crate::md::round_summary(&sink.records));
     write_metrics(out, opts, &sink.records);
@@ -98,7 +90,7 @@ fn service_lab<R: bncg_core::rules::GameRules>(
     out.push_str("\nCrash-safe round service run:\n\n");
     use bncg_dynamics::{AuditPolicy, JournalOptions, NullSink, RoundService};
     let mut service = if let Some(path) = &opts.resume {
-        match RoundService::resume_with_rules(path, bncg_graph::RepairStrategy::default(), rules) {
+        match RoundService::resume_with_rules(path, rules) {
             Ok((service, report)) => {
                 out.push_str(&format!(
                     "- resumed from `{}`: {} journal records, {} rounds replayed{}{}{}\n",
@@ -128,15 +120,7 @@ fn service_lab<R: bncg_core::rules::GameRules>(
             }
         }
     } else {
-        let mut service = RoundService::with_rules(
-            start,
-            bncg_dynamics::ServiceConfig {
-                pipelined: opts.pipelined,
-                ..Default::default()
-            },
-            bncg_graph::RepairStrategy::default(),
-            rules,
-        );
+        let mut service = RoundService::with_rules(start, RoundConfig::default(), rules);
         if let Some(path) = &opts.journal {
             if let Err(e) = service.attach_journal(path, JournalOptions::default()) {
                 eprintln!("--journal cannot create {}: {e}", path.display());
@@ -339,26 +323,14 @@ pub fn run(opts: &super::RunOpts) -> String {
     match opts.game {
         super::GameChoice::Basic => {
             let mut sink = bncg_dynamics::MemorySink::new();
-            let engine_label = if opts.pipelined {
-                // `--pipelined`: the same stream through the overlapped round
-                // engine — byte-identical records (phase timings aside), every
-                // barrier overlapping repair with the next proposal sweep.
-                let engine = bncg_dynamics::PipelinedRoundDynamics::<SumObjective>::new(
-                    RoundConfig::default(),
-                );
-                let _ = engine.run_with_sink(&start, &mut sink);
-                "pipelined round engine"
-            } else {
-                let _ = bncg_dynamics::run_traced_rounds_with_sink::<SumObjective>(
-                    &start,
-                    bncg_dynamics::Response::Best,
-                    RoundConfig::default().max_rounds,
-                    &mut sink,
-                );
-                "traced round-based run"
-            };
+            let _ = bncg_dynamics::run_traced_rounds_with_sink::<SumObjective>(
+                &start,
+                bncg_dynamics::Response::Best,
+                RoundConfig::default().max_rounds,
+                &mut sink,
+            );
             out.push_str(&format!(
-                "\nStreaming round records (one {engine_label}, n = {n}):\n\n"
+                "\nStreaming round records (one traced round-based run, n = {n}):\n\n"
             ));
             out.push_str(&crate::md::round_summary(&sink.records));
             write_metrics(&mut out, opts, &sink.records);

@@ -9,11 +9,6 @@ pub struct RunOpts {
     /// write one JSON Lines [`bncg_dynamics::RoundRecord`] per dynamics
     /// round to this path (`--metrics <path>`); the others ignore it.
     pub metrics: Option<std::path::PathBuf>,
-    /// Route round-based dynamics through the pipelined engine
-    /// ([`bncg_dynamics::PipelinedRoundDynamics`], `--pipelined`):
-    /// byte-identical records and endpoints, with the next round's
-    /// proposal sweep overlapped against each barrier repair.
-    pub pipelined: bool,
     /// When set, E13's service run journals every round barrier to this
     /// path (`--journal <path>`), making the run crash-recoverable via
     /// `--resume`.

@@ -40,7 +40,6 @@ fn main() {
     let metrics = path_flag("--metrics");
     let journal = path_flag("--journal");
     let resume = path_flag("--resume");
-    let pipelined = args.iter().any(|a| a == "--pipelined");
     let audit_every = args
         .iter()
         .position(|a| a == "--audit-every")
@@ -69,7 +68,6 @@ fn main() {
     let opts = RunOpts {
         quick,
         metrics,
-        pipelined,
         journal,
         resume,
         audit_every,
@@ -100,7 +98,6 @@ fn main() {
             println!("  all | quick — run every experiment (quick = reduced scale)");
             println!("  dump [dir]  — export the construction catalog as edge lists + graph6");
             println!("  --metrics <path> — stream per-round JSONL records (consumed by e13)");
-            println!("  --pipelined — round-based dynamics via the pipelined engine (e13)");
             println!("  --journal <path> — crash-safe journal for e13's service run");
             println!("  --resume <path> — resume a killed journaled e13 service run");
             println!(

@@ -73,32 +73,6 @@ impl EvalContext {
         }
     }
 
-    /// Independent copy of this context: the CSR snapshot is cloned and
-    /// the cached base matrix (when one exists) is duplicated through the
-    /// matrix pool ([`DynamicApsp::clone_pooled`]) — aggregates, fallback
-    /// threshold, and repair strategy included, update counters zeroed.
-    ///
-    /// The copy answers every query identically to the original and then
-    /// evolves independently: feed both the same deterministic
-    /// [`refresh_after_batch`](Self::refresh_after_batch) calls and they
-    /// stay byte-identical forever. That lockstep discipline is what lets
-    /// the pipelined round engine keep a second context on the worker
-    /// pool (running the next round's proposal sweep) while the original
-    /// repairs on the main thread — **without** re-cloning any matrix at
-    /// the round barrier.
-    pub fn clone_pooled(&self) -> EvalContext {
-        let base = OnceLock::new();
-        if let Some(dyn_apsp) = self.base.get() {
-            let _ = base.set(dyn_apsp.clone_pooled());
-        }
-        EvalContext {
-            csr: self.csr.clone(),
-            base,
-            max_repair_rows: self.max_repair_rows,
-            repair_strategy: self.repair_strategy,
-        }
-    }
-
     /// Re-snapshots `g` in place after a mutation.
     ///
     /// **Invalidation contract:** the cached base matrix is dropped (and
@@ -613,56 +587,6 @@ mod tests {
                 ctx.find_improving_swap_par::<MaxObjective>()
             );
         }
-    }
-
-    #[test]
-    fn clone_pooled_stays_in_lockstep_under_identical_batches() {
-        let mut g = classic::path(12);
-        let mut ctx = EvalContext::new(&g);
-        ctx.set_repair_strategy(bncg_graph::RepairStrategy::Kernel);
-        ctx.base(); // force the matrix so the clone carries it
-        let mut snap = ctx.clone_pooled();
-        for step in 0..8 {
-            let Some(s) = (0..12).find_map(|v| ctx.best_response::<SumObjective>(v)) else {
-                break;
-            };
-            let rec = s.mv.apply(&mut g);
-            let batch = [rec];
-            ctx.refresh_after_batch(&g, &batch);
-            snap.refresh_after_batch(&g, &batch);
-            for v in 0..12 as V {
-                assert_eq!(
-                    ctx.base().row(v),
-                    snap.base().row(v),
-                    "row {v} diverged at step {step}"
-                );
-                assert_eq!(
-                    ctx.agent_cost::<MaxObjective>(v),
-                    snap.agent_cost::<MaxObjective>(v),
-                    "maintained aggregate diverged for agent {v} at step {step}"
-                );
-            }
-        }
-        // Counters are per-copy: the clone started from zero.
-        assert_eq!(
-            ctx.dynamic_stats_snapshot().updates,
-            snap.dynamic_stats_snapshot().updates
-        );
-    }
-
-    #[test]
-    fn clone_pooled_of_a_lazy_context_stays_lazy() {
-        let g = classic::cycle(9);
-        let ctx = EvalContext::new(&g);
-        let snap = ctx.clone_pooled(); // no base forced on either side
-        assert!(
-            snap.dynamic_stats().is_none(),
-            "clone must not force the build"
-        );
-        assert_eq!(
-            snap.agent_cost::<SumObjective>(3),
-            ctx.agent_cost::<SumObjective>(3)
-        );
     }
 
     #[test]

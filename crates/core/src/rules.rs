@@ -1,7 +1,7 @@
 //! The game-rules layer: one dynamics core, many games.
 //!
 //! Every dynamics engine in this workspace — sequential, round-based,
-//! batched, pipelined, journaled — used to be hardwired to the two
+//! batched, journaled — used to be hardwired to the two
 //! AlonDHL10 usage costs through the [`Objective`] type parameter. The
 //! [`GameRules`] trait lifts that seam one level: a rule set owns
 //! **objective evaluation** (`agent_cost`, `social_cost`), **move
@@ -48,8 +48,8 @@ use crate::swap::{ScoredSwap, SwapMove};
 /// Engines hold a value of the implementing type (rule sets may carry
 /// per-agent state — budgets, interest sets) and consult it for every
 /// evaluation, proposal, and legality decision. Implementations must be
-/// cheap to clone ([`Arc`] internals): the pipelined service clones its
-/// rules into the overlapped proposal closure.
+/// cheap to clone ([`Arc`] internals): every round-engine run clones its
+/// rules into the one-session service it plays through.
 ///
 /// # Determinism contract
 /// `best_response` must break ties exactly like the basic scan — minimum

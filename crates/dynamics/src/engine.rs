@@ -12,7 +12,7 @@
 use bncg_core::context::EvalContext;
 use bncg_core::rules::GameRules;
 use bncg_graph::dynamic::repair_phase_totals;
-use bncg_graph::{Graph, RepairStrategy, V};
+use bncg_graph::{Graph, V};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -99,7 +99,6 @@ pub struct DynamicsResult {
 /// `SwapDynamics<SumObjective>` keeps its pre-trait meaning).
 pub struct SwapDynamics<R: GameRules> {
     config: DynamicsConfig,
-    repair_strategy: RepairStrategy,
     rules: R,
 }
 
@@ -116,22 +115,7 @@ impl<R: GameRules> SwapDynamics<R> {
     /// Engine with an explicit rule-set value (rule sets carrying
     /// per-agent state: budgets, interest sets).
     pub fn with_rules(config: DynamicsConfig, rules: R) -> Self {
-        SwapDynamics {
-            config,
-            repair_strategy: RepairStrategy::default(),
-            rules,
-        }
-    }
-
-    /// Selects the deletion-repair implementation the run's [`EvalContext`]
-    /// maintains its base matrix with (byte-identical results either way;
-    /// [`RepairStrategy::Kernel`] by default). Lives on the engine rather
-    /// than [`DynamicsConfig`] because it never changes outcomes — only
-    /// how fast the repairs run.
-    #[must_use]
-    pub fn with_repair_strategy(mut self, strategy: RepairStrategy) -> Self {
-        self.repair_strategy = strategy;
-        self
+        SwapDynamics { config, rules }
     }
 
     /// Runs the dynamics from `start` using `rng` for stochastic
@@ -163,7 +147,6 @@ impl<R: GameRules> SwapDynamics<R> {
         let mut g = start.clone();
         let n = g.n();
         let mut ctx = EvalContext::new(&g);
-        ctx.set_repair_strategy(self.repair_strategy);
         let mut log = StateLog::new();
         if self.config.detect_cycles {
             log.record(&g);

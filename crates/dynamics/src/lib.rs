@@ -15,12 +15,11 @@
 //!   conflicts resolved deterministically (lowest agent index), accepted
 //!   moves applied to the maintained base matrix as one batch repair at
 //!   the round barrier;
-//! * [`service`] — the **pipelined** round engine and the long-running
-//!   round service ([`service::RoundService`]): a double-buffered
-//!   snapshot context lets every round barrier overlap the live repair
-//!   and bookkeeping with the *next* round's proposal sweep on the worker
-//!   pool, byte-identical to [`rounds::RoundDynamics`]; sessions stream
-//!   thousands of rounds through one context pair with no per-run setup;
+//! * [`service`] — the round loop itself, as the long-running round
+//!   service ([`service::RoundService`]): sessions stream thousands of
+//!   rounds through one maintained context with no per-run setup, and
+//!   every [`rounds::RoundDynamics`] run is one session of a fresh
+//!   service;
 //! * [`convergence`] — state hashing for cycle detection, with revisit
 //!   periods;
 //! * [`cache`] — equilibrium audits memoized by canonical graph strings,
@@ -35,16 +34,10 @@
 //! Both engines keep **one** `EvalContext` (hence one maintained
 //! `DynamicApsp` base matrix) alive for a whole run: the sequential
 //! engine patches it per move through `refresh_after`, the round engine
-//! once per round through `refresh_after_batch` at the barrier. The
-//! deletion-repair implementation behind those patches is selectable via
-//! [`engine::SwapDynamics::with_repair_strategy`] /
-//! [`rounds::RoundDynamics::with_repair_strategy`]
-//! (`bncg_graph::RepairStrategy`; the kernelized walkers by default,
-//! byte-identical to the scalar reference either way — which is why the
-//! knob lives on the engines, not in the serialized configs). Pool reuse
-//! is inherited: a run allocates its working set once and recycles it
-//! across every round. See `ARCHITECTURE.md` at the repository root for
-//! the full layer stack.
+//! once per round through `refresh_after_batch` at the barrier. Pool
+//! reuse is inherited: a run allocates its working set once and recycles
+//! it across every round. See `ARCHITECTURE.md` at the repository root
+//! for the full layer stack.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -81,8 +74,8 @@ pub use engine::{DynamicsConfig, DynamicsResult, Outcome, Response, Schedule, Sw
 pub use recovery::{read_journal, Journal, JournalRecord, JournalScan, RecoveryError};
 pub use rounds::{resolve_round_with, step_round, RoundConfig, RoundDynamics, RoundResult};
 pub use service::{
-    AuditPolicy, AuditStats, JournalOptions, PipelinedRoundDynamics, ResumeReport, RoundService,
-    ServiceConfig, SessionReport,
+    AuditPolicy, AuditStats, JournalOptions, ResumeReport, RoundService, ServiceConfig,
+    SessionReport,
 };
 pub use sink::{JsonlSink, MemorySink, MetricsSink, NullSink, RetryPolicy, RetrySink, RoundRecord};
 pub use trajectory::{

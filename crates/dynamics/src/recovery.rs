@@ -38,11 +38,18 @@
 //!   with [`RecoveryError::Corrupt`] rather than resurrect a state the
 //!   process never was in.
 //!
-//! Replay additionally verifies a CRC of the reconstructed graph against
-//! every `Round`/`Perturb` record and the checkpoint's matrix CRC against
-//! the rebuilt matrix, so codec bugs or cross-version drift surface as
+//! A CRC catches accidental damage, not bad content: a record can carry
+//! a valid CRC and still name a move the graph cannot take. Replay
+//! therefore checks every journaled move before applying it — vertex ids
+//! in range, the deleted edge present, no self-loop, and the moves of one
+//! round pairwise footprint-disjoint (the batch repair's precondition) —
+//! and refuses a bad one as [`RecoveryError::Corrupt`]. It also verifies
+//! a CRC of the reconstructed graph against every `Round`/`Perturb`
+//! record and the checkpoint's matrix CRC against the rebuilt matrix, so
+//! codec bugs or cross-version drift surface as
 //! [`RecoveryError::Mismatch`], never as silently wrong dynamics.
 
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -51,13 +58,12 @@ use bncg_core::context::EvalContext;
 use bncg_core::rules::GameRules;
 use bncg_core::swap::SwapMove;
 use bncg_graph::adjacency::SwapApplied;
-use bncg_graph::{graph6, DistanceMatrix, Graph, RepairStrategy};
+use bncg_graph::{graph6, DistanceMatrix, Graph};
 use bncg_telemetry::json::{self, Json};
 
 use crate::convergence::StateLog;
 use crate::engine::{Outcome, Response};
 use crate::rounds::RoundConfig;
-use crate::service::ServiceConfig;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected) — hand-rolled because the workspace builds
@@ -143,7 +149,9 @@ pub enum JournalRecord {
         max_rounds: usize,
         /// Whether cycle detection is on (it shapes the replayed log).
         detect_cycles: bool,
-        /// Whether the service pipelines round barriers.
+        /// Kept for journal compatibility: always written `false`, read
+        /// either way, and ignored on resume (journals from builds that
+        /// could pipeline round barriers may carry `true`).
         pipelined: bool,
         /// Checkpoint cadence in journaled rounds (`0` = never).
         checkpoint_every: usize,
@@ -445,7 +453,8 @@ pub enum RecoveryError {
     Io(io::Error),
     /// A non-final record line failed to parse or failed its CRC — the
     /// storage corrupted previously fsynced data, which resume refuses
-    /// to paper over.
+    /// to paper over — or an intact record names a move the replayed
+    /// graph cannot take.
     Corrupt {
         /// 1-based line number of the offending record.
         line: usize,
@@ -699,10 +708,10 @@ enum OpenSession {
 /// [`RoundService::resume`](crate::service::RoundService::resume) needs
 /// to rebuild its fields.
 pub(crate) struct ReplayedState {
-    pub config: ServiceConfig,
+    pub config: RoundConfig,
     pub checkpoint_every: usize,
     pub g: Graph,
-    pub live: EvalContext,
+    pub ctx: EvalContext,
     pub log: StateLog,
     /// `Round` records applied during replay.
     pub rounds_replayed: usize,
@@ -716,6 +725,41 @@ pub(crate) struct ReplayedState {
     pub used_checkpoint: bool,
 }
 
+/// Checks that `mv` can be applied to `g`: every vertex id is below `n`,
+/// the deleted edge `vw` is present, and `w2 ≠ v` — the preconditions
+/// [`Graph::apply_swap`] asserts.
+fn check_move(g: &Graph, mv: &SwapMove) -> Result<(), String> {
+    let n = g.n();
+    if [mv.v, mv.w, mv.w2].iter().any(|&x| x as usize >= n) {
+        return Err(format!("move {mv:?} names a vertex outside 0..{n}"));
+    }
+    if !g.has_edge(mv.v, mv.w) {
+        return Err(format!("move {mv:?} deletes a missing edge"));
+    }
+    if mv.w2 == mv.v {
+        return Err(format!("move {mv:?} would insert a self-loop"));
+    }
+    Ok(())
+}
+
+/// [`check_move`] for every move of one round, plus pairwise
+/// footprint-disjointness — the precondition of the batch repair the
+/// round is replayed through. Checking every move against the pre-round
+/// graph is exact: disjoint footprints mean no move touches an edge
+/// another move of the round deletes or inserts.
+fn check_round(g: &Graph, moves: &[SwapMove]) -> Result<(), String> {
+    let mut touched = HashSet::with_capacity(2 * moves.len());
+    for mv in moves {
+        check_move(g, mv)?;
+        let fp = mv.footprint();
+        if fp.iter().any(|e| touched.contains(e)) {
+            return Err(format!("move {mv:?} overlaps an earlier move of its round"));
+        }
+        touched.extend(fp);
+    }
+    Ok(())
+}
+
 /// Replays a scanned journal into a live service state. `rules.name()`
 /// must match the journal's seed objective tag; the maintained matrix is
 /// rebuilt at the last checkpoint (verified against its recorded CRC)
@@ -726,7 +770,6 @@ pub(crate) struct ReplayedState {
 pub(crate) fn replay<R: GameRules>(
     rules: &R,
     scan: &JournalScan,
-    strategy: RepairStrategy,
 ) -> Result<ReplayedState, RecoveryError> {
     let mut iter = scan.records.iter().enumerate();
     let Some((
@@ -736,7 +779,7 @@ pub(crate) fn replay<R: GameRules>(
             response,
             max_rounds,
             detect_cycles,
-            pipelined,
+            pipelined: _,
             checkpoint_every,
             graph6: seed_g6,
         },
@@ -752,13 +795,10 @@ pub(crate) fn replay<R: GameRules>(
             rules.name()
         )));
     }
-    let config = ServiceConfig {
-        rounds: RoundConfig {
-            response: *response,
-            max_rounds: *max_rounds,
-            detect_cycles: *detect_cycles,
-        },
-        pipelined: *pipelined,
+    let config = RoundConfig {
+        response: *response,
+        max_rounds: *max_rounds,
+        detect_cycles: *detect_cycles,
     };
     let detect = *detect_cycles;
     let mut g = graph6::decode(seed_g6)
@@ -773,8 +813,7 @@ pub(crate) fn replay<R: GameRules>(
     let mut live: Option<EvalContext> = None;
     let needs_apsp = rules.needs_apsp();
     let build_ctx = move |g: &Graph| -> Result<EvalContext, RecoveryError> {
-        let mut ctx = EvalContext::new(g);
-        ctx.set_repair_strategy(strategy);
+        let ctx = EvalContext::new(g);
         if needs_apsp {
             ctx.try_base()?;
         }
@@ -820,6 +859,10 @@ pub(crate) fn replay<R: GameRules>(
                         reason: "round record with no moves".into(),
                     });
                 }
+                check_round(&g, moves).map_err(|reason| RecoveryError::Corrupt {
+                    line: idx + 1,
+                    reason,
+                })?;
                 let batch: Vec<SwapApplied> = moves.iter().map(|mv| mv.apply(&mut g)).collect();
                 moves_replayed += batch.len();
                 if crate::recovery::graph_crc(&g) != *graph_crc {
@@ -842,6 +885,10 @@ pub(crate) fn replay<R: GameRules>(
             }
             JournalRecord::Perturb { moves, graph_crc } => {
                 for mv in moves {
+                    check_move(&g, mv).map_err(|reason| RecoveryError::Corrupt {
+                        line: idx + 1,
+                        reason,
+                    })?;
                     let rec = mv.apply(&mut g);
                     if matches!(rec, SwapApplied::Noop) {
                         continue;
@@ -903,7 +950,7 @@ pub(crate) fn replay<R: GameRules>(
         }
     }
 
-    let live = match live {
+    let ctx = match live {
         Some(ctx) => ctx,
         None => build_ctx(&g)?, // journal ended exactly at its last checkpoint
     };
@@ -912,7 +959,7 @@ pub(crate) fn replay<R: GameRules>(
         config,
         checkpoint_every: *checkpoint_every,
         g,
-        live,
+        ctx,
         log,
         rounds_replayed,
         moves_replayed,

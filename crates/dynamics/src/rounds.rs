@@ -11,6 +11,11 @@
 //! can oscillate where sequential play converges — so the engine reports
 //! the revisit period alongside the usual outcomes.
 //!
+//! This module holds the round's building blocks — conflict resolution
+//! and [`step_round`] — and the one-shot [`RoundDynamics`] entry point.
+//! The round loop itself lives in [`crate::service`]: every
+//! [`RoundDynamics`] run is one session of a fresh [`RoundService`].
+//!
 //! **Determinism contract (conflict resolution).** Proposals are scanned
 //! in ascending agent index; a proposal is accepted iff its edge
 //! footprint (`{vw, vw2}`, see [`SwapMove::footprint`]) is disjoint from
@@ -33,13 +38,13 @@ use bncg_core::context::EvalContext;
 use bncg_core::rules::GameRules;
 use bncg_core::swap::ScoredSwap;
 use bncg_graph::adjacency::{Edge, SwapApplied};
-use bncg_graph::dynamic::{repair_phase_totals, RepairStats};
-use bncg_graph::{Graph, RepairStrategy};
+use bncg_graph::dynamic::RepairStats;
+use bncg_graph::Graph;
 use serde::{Deserialize, Serialize};
 
-use crate::convergence::StateLog;
 use crate::engine::{Outcome, Response};
-use crate::sink::{MetricsSink, NullSink, RoundRecord};
+use crate::service::RoundService;
+use crate::sink::{MetricsSink, NullSink};
 
 /// Configuration of a round-based dynamics run.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -83,8 +88,8 @@ pub struct RoundResult {
     pub repair: RepairStats,
 }
 
-/// One resolved activation round (the unit [`RoundDynamics::run`] and the
-/// traced variant iterate).
+/// One resolved activation round (the unit [`step_round`] returns to
+/// hand-stepped loops and the traced variant).
 #[derive(Debug, Clone)]
 pub struct RoundStep {
     /// Agents that proposed an improving move against the snapshot.
@@ -151,6 +156,19 @@ pub fn resolve_round_with<R: GameRules>(
     accepted
 }
 
+/// The frozen-snapshot proposal sweep: every agent's response to the
+/// current state of `ctx` under `response`, one slot per agent.
+pub(crate) fn propose<R: GameRules>(
+    rules: &R,
+    ctx: &EvalContext,
+    response: Response,
+) -> Vec<Option<ScoredSwap>> {
+    match response {
+        Response::Best => rules.best_responses_par(ctx),
+        Response::FirstImproving => rules.first_improving_responses_par(ctx),
+    }
+}
+
 /// Executes one frozen-snapshot round under `rules`: propose (in
 /// parallel) against the current state of `ctx`, resolve
 /// deterministically ([`resolve_round_with`]), apply the accepted moves
@@ -163,10 +181,7 @@ pub fn step_round<R: GameRules>(
     g: &mut Graph,
     response: Response,
 ) -> RoundStep {
-    let proposals = match response {
-        Response::Best => rules.best_responses_par(ctx),
-        Response::FirstImproving => rules.first_improving_responses_par(ctx),
-    };
+    let proposals = propose(rules, ctx, response);
     let proposed = proposals.iter().flatten().count();
     let accepted = resolve_round_with(rules, ctx, &proposals);
     let batch: Vec<SwapApplied> = accepted.iter().map(|s| s.mv.apply(g)).collect();
@@ -187,7 +202,6 @@ pub fn step_round<R: GameRules>(
 /// round against the same frozen snapshot.
 pub struct RoundDynamics<R: GameRules> {
     config: RoundConfig,
-    repair_strategy: RepairStrategy,
     rules: R,
 }
 
@@ -204,22 +218,7 @@ impl<R: GameRules> RoundDynamics<R> {
     /// Engine with an explicit rule-set value (rule sets carrying
     /// per-agent state: budgets, interest sets).
     pub fn with_rules(config: RoundConfig, rules: R) -> Self {
-        RoundDynamics {
-            config,
-            repair_strategy: RepairStrategy::default(),
-            rules,
-        }
-    }
-
-    /// Selects the deletion-repair implementation backing the shared base
-    /// matrix's round-barrier batch repairs (byte-identical results either
-    /// way; [`RepairStrategy::Kernel`] by default). Lives on the engine
-    /// rather than [`RoundConfig`] because it never changes outcomes —
-    /// only how fast the barrier repair runs.
-    #[must_use]
-    pub fn with_repair_strategy(mut self, strategy: RepairStrategy) -> Self {
-        self.repair_strategy = strategy;
-        self
+        RoundDynamics { config, rules }
     }
 
     /// Runs the round dynamics from `start`.
@@ -237,110 +236,15 @@ impl<R: GameRules> RoundDynamics<R> {
     /// the phase-delta caveat). With [`NullSink`] the record construction
     /// is skipped entirely, so `run` pays one branch per round for this
     /// seam.
+    ///
+    /// The run is one session of a fresh [`RoundService`] on `start` —
+    /// the service's round loop is the only one there is.
+    ///
+    /// [`RoundRecord`]: crate::sink::RoundRecord
     pub fn run_with_sink(&self, start: &Graph, sink: &mut dyn MetricsSink) -> RoundResult {
-        let mut g = start.clone();
-        let mut ctx = EvalContext::new(&g);
-        ctx.set_repair_strategy(self.repair_strategy);
-        if self.rules.needs_apsp() {
-            ctx.base(); // force the matrix: every round repairs, none rebuilds
-        }
-        let stats_before = ctx.dynamic_stats_snapshot();
-        let mut log = StateLog::new();
-        if self.config.detect_cycles {
-            log.record_period(&g);
-        }
-        let mut moves_proposed = 0usize;
-        let mut moves_applied = 0usize;
-        let mut prev_cost = if sink.active() {
-            self.rules.social_cost(&ctx)
-        } else {
-            None
-        };
-        let mut round_stats = stats_before;
-        let mut round_phases = repair_phase_totals();
-        for round in 0..self.config.max_rounds {
-            let step = step_round(&self.rules, &mut ctx, &mut g, self.config.response);
-            moves_proposed += step.proposed;
-            moves_applied += step.applied;
-            let ended: Option<(Outcome, Option<usize>)> = if step.proposed == 0 {
-                Some((Outcome::Converged, None))
-            } else if self.config.detect_cycles {
-                log.record_period(&g).map(|p| (Outcome::Cycled, Some(p)))
-            } else {
-                None
-            };
-            if sink.active() {
-                let stats_now = ctx.dynamic_stats_snapshot();
-                let phases_now = repair_phase_totals();
-                let cost = self.rules.social_cost(&ctx);
-                sink.record_round(&RoundRecord {
-                    round: round + 1,
-                    proposed: step.proposed,
-                    applied: step.applied,
-                    conflicted: step.proposed - step.applied,
-                    social_cost: cost,
-                    cost_delta: match (prev_cost, cost) {
-                        (Some(a), Some(b)) => Some(b as i64 - a as i64),
-                        _ => None,
-                    },
-                    cycle_period: ended.and_then(|(_, period)| period),
-                    converged: matches!(ended, Some((Outcome::Converged, _))),
-                    repair: stats_now.delta_since(&round_stats),
-                    phases: phases_now.delta_since(&round_phases),
-                });
-                round_stats = stats_now;
-                round_phases = phases_now;
-                prev_cost = cost;
-            }
-            if let Some((outcome, cycle_period)) = ended {
-                sink.finish();
-                return self.finish(
-                    g,
-                    outcome,
-                    round + 1,
-                    moves_proposed,
-                    moves_applied,
-                    cycle_period,
-                    &ctx,
-                    &stats_before,
-                );
-            }
-        }
-        sink.finish();
-        let rounds = self.config.max_rounds;
-        self.finish(
-            g,
-            Outcome::Capped,
-            rounds,
-            moves_proposed,
-            moves_applied,
-            None,
-            &ctx,
-            &stats_before,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        graph: Graph,
-        outcome: Outcome,
-        rounds: usize,
-        moves_proposed: usize,
-        moves_applied: usize,
-        cycle_period: Option<usize>,
-        ctx: &EvalContext,
-        stats_before: &RepairStats,
-    ) -> RoundResult {
-        RoundResult {
-            graph,
-            outcome,
-            rounds,
-            moves_proposed,
-            moves_applied,
-            cycle_period,
-            repair: ctx.dynamic_stats_snapshot().delta_since(stats_before),
-        }
+        RoundService::with_rules(start, self.config, self.rules.clone())
+            .run_session(sink)
+            .result
     }
 }
 

@@ -1,64 +1,34 @@
-//! Pipelined round engine and the long-running round service.
+//! The round service: the one round loop behind every round-engine entry
+//! point.
 //!
-//! # Why pipelining is legal — and what actually overlaps
+//! [`RoundService`] plays the frozen-snapshot round model on one
+//! maintained [`EvalContext`]: every round sweeps each agent's proposal
+//! against the round-start state, resolves conflicts deterministically
+//! ([`resolve_round_with`]), applies the accepted batch to the graph, and
+//! repairs the base matrix once at the barrier
+//! ([`DynamicApsp::apply_batch`]). [`RoundDynamics`] is a one-session
+//! service: each run builds a service on its start graph, runs one
+//! session, and returns that session's [`RoundResult`], so the one-shot
+//! engine and the long-running service share every line of the loop.
 //!
-//! In the frozen-snapshot round model every proposal of round *t+1* is a
-//! pure function of the state the round-*t* barrier left behind, and the
-//! barrier's batch repair ([`DynamicApsp::apply_batch`]) is a
-//! **deterministic** function of (matrix, CSR, batch). Two maintained
-//! contexts seeded from the same state therefore stay *byte-identical
-//! forever* if they are fed the same batches — no synchronization, no
-//! copying, just lockstep determinism. The pipelined engine exploits
-//! exactly that:
+//! # Sessions
 //!
-//! * at construction the live [`EvalContext`] is duplicated **once**
-//!   through the matrix pool ([`EvalContext::clone_pooled`] — the "double
-//!   buffer"; no per-round matrix copies ever happen);
-//! * at every round barrier [`rayon::join`] splits the work: the **pool
-//!   branch** repairs the snapshot context and immediately runs the *next*
-//!   round's proposal sweep against it (the sweep itself fans out over the
-//!   worker pool — [`EdgeSwapScan::best_improving`]'s sharded candidate
-//!   loop included), while the **main branch** repairs the live context
-//!   and does everything only the live side can: cycle detection, the
-//!   social-cost read, and the [`RoundRecord`] construction + sink I/O;
-//! * the join *is* the barrier: when it returns, the round is fully
-//!   booked and the next round's proposals are already resolved-ready.
-//!
-//! Both branches run the identical deterministic repair, so the engine is
-//! **byte-identical to the serial [`RoundDynamics`]** — same accepted
-//! moves, same matrices, same records (`tests/pipeline_props.rs` pins
-//! this across graph families, objectives, and both repair-threshold
-//! extremes). What the overlap buys is the *hiding* of the round's serial
-//! bookkeeping tail (repair + hash + cost + JSONL write) behind the next
-//! proposal sweep; the `service.overlap_ns` / `service.stall_ns`
-//! histograms measure precisely how much was hidden and how long the
-//! barrier still stalled waiting for the pool branch.
-//!
-//! **Caveat (phase timings):** the per-round
-//! [`RepairPhases`] deltas read
-//! process-global histograms, and under pipelining *two* repairs and a
-//! proposal sweep run inside each round window — so pipelined records
-//! attribute roughly twice the repair phase time per round. The
-//! [`RepairStats`] deltas are per-context (the live one) and stay exact.
-//! See [`crate::sink`]'s schema caveat.
-//!
-//! # The service
-//!
-//! [`RoundService`] keeps one engine alive across *sessions*: thousands
-//! of rounds stream through one context pair, one reusable [`StateLog`],
-//! and one [`MetricsSink`] without ever re-running the `O(n·m)` base
-//! APSP build that a fresh per-run [`RoundDynamics`] pays. Between
-//! sessions the caller [`perturb`](RoundService::perturb)s the network
-//! (each perturbation is an incremental repair, not a rebuild) and runs
-//! the next session; [`pause`](RoundService::pause) /
-//! [`stop`](RoundService::stop) bound a session cooperatively at round
-//! granularity. Sustained throughput — rounds serviced per second of
-//! engine time, the headline of `benches/service.rs` — is exposed as
+//! A service stays warm across *sessions*: thousands of rounds stream
+//! through one context, one reusable [`StateLog`], and one
+//! [`MetricsSink`] without ever re-running the `O(n·m)` base APSP build
+//! that a fresh [`RoundDynamics`] run pays. Between sessions the caller
+//! [`perturb`](RoundService::perturb)s the network (each perturbation is
+//! an incremental repair, not a rebuild) and runs the next session;
+//! [`pause`](RoundService::pause) / [`stop`](RoundService::stop) bound a
+//! session cooperatively at round granularity. Sustained throughput —
+//! rounds serviced per second of engine time, the headline of
+//! `benches/service.rs` — is exposed as
 //! [`sustained_rounds_per_sec`](RoundService::sustained_rounds_per_sec).
 //!
 //! # Crash safety and self-healing
 //!
-//! Two opt-in robustness layers ride on the same determinism argument:
+//! Two opt-in robustness layers ride on the determinism of the barrier
+//! repair:
 //!
 //! * **Journal** ([`attach_journal`](RoundService::attach_journal) /
 //!   [`resume`](RoundService::resume)): every round barrier commits its
@@ -69,15 +39,13 @@
 //!   context byte-identical to the one that was lost, then continues a
 //!   mid-session run where it stopped. See [`crate::recovery`].
 //! * **Audit** ([`set_audit_policy`](RoundService::set_audit_policy)):
-//!   every *k* rounds a rotating stripe of maintained matrix rows (and
-//!   their cost aggregates) is verified against fresh BFS. A divergence —
-//!   memory fault, codec bug, anything — is healed by rebuilding only the
-//!   divergent rows, and the pipelined path is quarantined (rounds run
-//!   serially off the healed live context, the snapshot marked stale)
-//!   until a clean audit passes and one pooled copy resynchronizes it.
+//!   every *k* rounds, before the round's proposal sweep, a rotating
+//!   stripe of maintained matrix rows (and their cost aggregates) is
+//!   verified against fresh BFS. A divergence — memory fault, codec bug,
+//!   anything — is healed by rebuilding only the divergent rows before
+//!   any proposal or batch repair reads them.
 //!
 //! [`DynamicApsp::apply_batch`]: bncg_graph::dynamic::DynamicApsp::apply_batch
-//! [`EdgeSwapScan::best_improving`]: bncg_core::evaluator::EdgeSwapScan::best_improving
 //! [`RoundDynamics`]: crate::rounds::RoundDynamics
 
 use std::io;
@@ -86,49 +54,60 @@ use std::time::{Duration, Instant};
 
 use bncg_core::context::EvalContext;
 use bncg_core::rules::GameRules;
-use bncg_core::swap::{ScoredSwap, SwapMove};
+use bncg_core::swap::SwapMove;
 use bncg_graph::adjacency::SwapApplied;
 use bncg_graph::dynamic::{repair_phase_totals, RepairPhases, RepairStats};
-use bncg_graph::{graph6, Graph, RepairStrategy, V};
+use bncg_graph::{graph6, DistOverflow, Graph, V};
 
 use crate::convergence::StateLog;
-use crate::engine::{Outcome, Response};
+use crate::engine::Outcome;
 use crate::recovery::{self, Journal, JournalRecord, RecoveryError};
-use crate::rounds::{resolve_round_with, RoundConfig, RoundResult};
+use crate::rounds::{propose, resolve_round_with, RoundConfig, RoundResult};
 use crate::sink::{MetricsSink, NullSink, RoundRecord};
 
-/// Configuration of a [`RoundService`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServiceConfig {
-    /// Per-session round configuration (response rule, per-session round
-    /// cap, cycle detection) — the same knobs as the serial engine.
-    pub rounds: RoundConfig,
-    /// Whether round barriers overlap the live repair with the next
-    /// round's proposal sweep on the snapshot context. Results are
-    /// byte-identical either way; `false` runs the plain serial
-    /// [`step_round`](crate::rounds::step_round) loop on the one live
-    /// context.
-    pub pipelined: bool,
-}
+/// Configuration of a [`RoundService`]: the per-session round
+/// configuration (response rule, per-session round cap, cycle
+/// detection) — the same knobs as [`RoundDynamics`](crate::rounds::RoundDynamics).
+pub type ServiceConfig = RoundConfig;
 
-/// Session-local sink bookkeeping, mirroring the serial engine's loop
-/// state field for field so records stay byte-identical.
+/// Session-local record bookkeeping: the previous round's social cost and
+/// the counter snapshots the next record's deltas are taken against.
 struct SessionBook {
     prev_cost: Option<u64>,
     round_stats: RepairStats,
     round_phases: RepairPhases,
 }
 
-/// Emits one [`RoundRecord`] exactly the way the serial engine does —
-/// shared by the serial session path and the pipelined barrier's main
-/// branch, so the two paths cannot drift. The social-cost reading goes
-/// through the rule set (identical to the old direct context read for
-/// the basic game; variant games account their own way).
+impl SessionBook {
+    /// Opens a session's books against the state it starts from (the
+    /// social-cost read is skipped when `sink` discards records).
+    fn open<R: GameRules>(
+        sink: &dyn MetricsSink,
+        rules: &R,
+        ctx: &EvalContext,
+        stats_before: RepairStats,
+    ) -> Self {
+        SessionBook {
+            prev_cost: if sink.active() {
+                rules.social_cost(ctx)
+            } else {
+                None
+            },
+            round_stats: stats_before,
+            round_phases: repair_phase_totals(),
+        }
+    }
+}
+
+/// Emits one [`RoundRecord`] for the round just played — shared by live
+/// and replay sessions. The social-cost reading goes through the rule
+/// set (the basic game reads the maintained matrix; variant games
+/// account their own way).
 #[allow(clippy::too_many_arguments)]
 fn emit_record<R: GameRules>(
     sink: &mut dyn MetricsSink,
     rules: &R,
-    live: &EvalContext,
+    ctx: &EvalContext,
     book: &mut SessionBook,
     round: usize,
     proposed: usize,
@@ -138,9 +117,9 @@ fn emit_record<R: GameRules>(
     if !sink.active() {
         return;
     }
-    let stats_now = live.dynamic_stats_snapshot();
+    let stats_now = ctx.dynamic_stats_snapshot();
     let phases_now = repair_phase_totals();
-    let cost = rules.social_cost(live);
+    let cost = rules.social_cost(ctx);
     sink.record_round(&RoundRecord {
         round,
         proposed,
@@ -164,8 +143,8 @@ fn emit_record<R: GameRules>(
 /// Report of one [`RoundService::run_session`] call.
 #[derive(Debug, Clone)]
 pub struct SessionReport {
-    /// The session's outcome in the serial engine's vocabulary — for a
-    /// single session from a fresh start this is field-for-field what
+    /// The session's outcome in the round engine's vocabulary — for a
+    /// single session from a fresh start this is exactly what
     /// [`RoundDynamics::run`](crate::rounds::RoundDynamics::run) returns.
     pub result: RoundResult,
     /// Whether the session ended because the service was paused or
@@ -245,28 +224,13 @@ pub struct ResumeReport {
 }
 
 /// A long-running, restartless round-dynamics driver: one frozen-snapshot
-/// engine kept warm across sessions. See the [module docs](self) for the
-/// pipelining scheme and its legality argument.
+/// engine kept warm across sessions. See the [module docs](self).
 pub struct RoundService<R: GameRules> {
     config: ServiceConfig,
     g: Graph,
-    /// The authoritative context: every query, cycle check, and record
-    /// reads this one.
-    live: EvalContext,
-    /// The pipelined double buffer (`None` when `config.pipelined` is
-    /// off): repaired in lockstep with `live` on the pool branch of every
-    /// barrier, and the context the next round's proposals are swept
-    /// against.
-    snap: Option<EvalContext>,
-    /// Proposals already computed (by a barrier's pool branch) against
-    /// the *current* state of `g`, waiting to open the next round.
-    pending: Option<Vec<Option<ScoredSwap>>>,
-    /// Whether the snapshot context has fallen behind the live one.
-    /// Replay sessions never consult the snapshot, so they skip its
-    /// repairs entirely and set this instead; the next live session
-    /// resynchronizes with one pooled matrix copy, which is far cheaper
-    /// than replaying every skipped batch.
-    snap_stale: bool,
+    /// The one maintained context: every proposal sweep, query, cycle
+    /// check, and record reads it.
+    ctx: EvalContext,
     log: StateLog,
     stats_origin: RepairStats,
     rounds_total: usize,
@@ -296,158 +260,48 @@ pub struct RoundService<R: GameRules> {
     audit_stats: AuditStats,
     audit_tick: u64,
     audit_cursor: V,
-    /// A divergence was healed and no clean audit has passed since:
-    /// rounds run serially off the healed live context and the snapshot
-    /// is quarantined.
-    audit_degraded: bool,
     /// The game being played: objective evaluation, move generation, and
     /// move legality all route through this rule set.
     rules: R,
 }
 
 impl<R: GameRules> RoundService<R> {
-    /// Service on a copy of `start`, paying the one full APSP build the
-    /// whole service lifetime amortizes (plus one pooled matrix clone
-    /// when pipelining is on).
+    /// Service on a copy of `start` under the rule set's default value,
+    /// paying the one full APSP build the whole service lifetime
+    /// amortizes.
     pub fn new(start: &Graph, config: ServiceConfig) -> Self
     where
         R: Default,
     {
-        Self::with_repair_strategy(start, config, RepairStrategy::default())
+        Self::with_rules(start, config, R::default())
     }
 
-    /// [`new`](Self::new) with an explicit deletion-repair strategy for
-    /// the maintained matrices (both contexts; byte-identical results
-    /// either way).
-    pub fn with_repair_strategy(
-        start: &Graph,
-        config: ServiceConfig,
-        strategy: RepairStrategy,
-    ) -> Self
-    where
-        R: Default,
-    {
-        Self::with_rules(start, config, strategy, R::default())
+    /// [`new`](Self::new) with an explicit (possibly stateful) rule set —
+    /// the constructor for game variants that carry per-agent data
+    /// (budgets, interest sets).
+    ///
+    /// # Panics
+    /// When a finite distance of `start` overflows the compact `u16`
+    /// domain; [`try_with_rules`](Self::try_with_rules) returns that as
+    /// an error instead.
+    pub fn with_rules(start: &Graph, config: ServiceConfig, rules: R) -> Self {
+        Self::try_with_rules(start, config, rules).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`with_repair_strategy`](Self::with_repair_strategy) with an
-    /// explicit (possibly stateful) rule set — the constructor for game
-    /// variants that carry per-agent data (budgets, interest sets).
-    pub fn with_rules(
-        start: &Graph,
-        config: ServiceConfig,
-        strategy: RepairStrategy,
-        rules: R,
-    ) -> Self {
-        let g = start.clone();
-        let mut live = EvalContext::new(&g);
-        live.set_repair_strategy(strategy);
-        if rules.needs_apsp() {
-            live.base(); // force the matrix: every barrier repairs, none rebuilds
-        }
-        let snap = config.pipelined.then(|| live.clone_pooled());
-        let stats_origin = live.dynamic_stats_snapshot();
-        RoundService {
-            config,
-            g,
-            live,
-            snap,
-            pending: None,
-            snap_stale: false,
-            log: StateLog::new(),
-            stats_origin,
-            rounds_total: 0,
-            proposed_total: 0,
-            applied_total: 0,
-            sessions_run: 0,
-            busy: Duration::ZERO,
-            paused: false,
-            stopped: false,
-            journal: None,
-            checkpoint_every: 0,
-            rounds_journaled: 0,
-            rounds_since_ckpt: 0,
-            resume_midsession: None,
-            killed: false,
-            audit: AuditPolicy::default(),
-            audit_stats: AuditStats::default(),
-            audit_tick: 0,
-            audit_cursor: 0,
-            audit_degraded: false,
-            rules,
-        }
-    }
-
-    /// [`new`](Self::new) with a typed error instead of a panic when the
-    /// start graph's finite distances overflow the compact `u16` domain —
-    /// the fallible seam long-running drivers should construct through.
-    pub fn try_new(start: &Graph, config: ServiceConfig) -> Result<Self, bncg_graph::DistOverflow>
-    where
-        R: Default,
-    {
-        Self::try_with_repair_strategy(start, config, RepairStrategy::default())
-    }
-
-    /// [`with_repair_strategy`](Self::with_repair_strategy) with a typed
-    /// [`DistOverflow`](bncg_graph::DistOverflow) error instead of the
-    /// panic.
-    pub fn try_with_repair_strategy(
-        start: &Graph,
-        config: ServiceConfig,
-        strategy: RepairStrategy,
-    ) -> Result<Self, bncg_graph::DistOverflow>
-    where
-        R: Default,
-    {
-        Self::try_with_rules(start, config, strategy, R::default())
-    }
-
-    /// [`with_rules`](Self::with_rules) with a typed
-    /// [`DistOverflow`](bncg_graph::DistOverflow) error instead of the
-    /// panic.
+    /// [`with_rules`](Self::with_rules) with a typed [`DistOverflow`]
+    /// error instead of the panic — the fallible seam long-running
+    /// drivers should construct through.
     pub fn try_with_rules(
         start: &Graph,
         config: ServiceConfig,
-        strategy: RepairStrategy,
         rules: R,
-    ) -> Result<Self, bncg_graph::DistOverflow> {
+    ) -> Result<Self, DistOverflow> {
         let g = start.clone();
-        let mut live = EvalContext::new(&g);
-        live.set_repair_strategy(strategy);
+        let ctx = EvalContext::new(&g);
         if rules.needs_apsp() {
-            live.try_base()?;
+            ctx.try_base()?; // force the matrix: every barrier repairs, none rebuilds
         }
-        let snap = config.pipelined.then(|| live.clone_pooled());
-        let stats_origin = live.dynamic_stats_snapshot();
-        Ok(RoundService {
-            config,
-            g,
-            live,
-            snap,
-            pending: None,
-            snap_stale: false,
-            log: StateLog::new(),
-            stats_origin,
-            rounds_total: 0,
-            proposed_total: 0,
-            applied_total: 0,
-            sessions_run: 0,
-            busy: Duration::ZERO,
-            paused: false,
-            stopped: false,
-            journal: None,
-            checkpoint_every: 0,
-            rounds_journaled: 0,
-            rounds_since_ckpt: 0,
-            resume_midsession: None,
-            killed: false,
-            audit: AuditPolicy::default(),
-            audit_stats: AuditStats::default(),
-            audit_tick: 0,
-            audit_cursor: 0,
-            audit_degraded: false,
-            rules,
-        })
+        Ok(Self::assemble(config, g, ctx, rules))
     }
 
     /// Rebuilds a service from a crash-safe journal written by
@@ -457,44 +311,25 @@ impl<R: GameRules> RoundService<R> {
     /// batch-repaired through every later round — **byte-identical** to
     /// the matrix the crashed process held — and the journal is reopened
     /// for appending. A torn final line (crash mid-write) is truncated
-    /// away; interior corruption is refused. When the journal ends
-    /// inside a live session, the next
-    /// [`run_session`](Self::run_session) continues that session from
-    /// the round it stopped at.
+    /// away; interior corruption and records that do not describe valid
+    /// moves are refused. When the journal ends inside a live session,
+    /// the next [`run_session`](Self::run_session) continues that session
+    /// from the round it stopped at.
     pub fn resume(path: &Path) -> Result<(Self, ResumeReport), RecoveryError>
     where
         R: Default,
     {
-        Self::resume_with_strategy(path, RepairStrategy::default())
+        Self::resume_with_rules(path, R::default())
     }
 
-    /// [`resume`](Self::resume) with an explicit deletion-repair
-    /// strategy for the rebuilt contexts.
-    pub fn resume_with_strategy(
-        path: &Path,
-        strategy: RepairStrategy,
-    ) -> Result<(Self, ResumeReport), RecoveryError>
-    where
-        R: Default,
-    {
-        Self::resume_with_rules(path, strategy, R::default())
-    }
-
-    /// [`resume`](Self::resume) with an explicit rule set (and repair
-    /// strategy) — required for game variants whose rules carry state
-    /// the journal does not record. The journal's seed tag must match
-    /// `rules.name()`.
-    pub fn resume_with_rules(
-        path: &Path,
-        strategy: RepairStrategy,
-        rules: R,
-    ) -> Result<(Self, ResumeReport), RecoveryError> {
+    /// [`resume`](Self::resume) with an explicit rule set — required for
+    /// game variants whose rules carry state the journal does not record.
+    /// The journal's seed tag must match `rules.name()`.
+    pub fn resume_with_rules(path: &Path, rules: R) -> Result<(Self, ResumeReport), RecoveryError> {
         let scan = recovery::read_journal(path)?;
         let truncated = recovery::truncate_torn_tail(path, &scan)?;
-        let st = recovery::replay(&rules, &scan, strategy)?;
+        let st = recovery::replay(&rules, &scan)?;
         let journal = Journal::open_append(path)?;
-        let snap = st.config.pipelined.then(|| st.live.clone_pooled());
-        let stats_origin = st.live.dynamic_stats_snapshot();
         let report = ResumeReport {
             records: scan.records.len(),
             rounds_replayed: st.rounds_replayed,
@@ -502,47 +337,56 @@ impl<R: GameRules> RoundService<R> {
             midsession: st.midsession,
             used_checkpoint: st.used_checkpoint,
         };
-        let service = RoundService {
-            config: st.config,
-            g: st.g,
-            live: st.live,
-            snap,
-            pending: None,
-            snap_stale: false,
-            log: st.log,
+        let mut service = Self::assemble(st.config, st.g, st.ctx, rules);
+        service.log = st.log;
+        service.rounds_total = st.rounds_replayed;
+        service.proposed_total = st.moves_replayed;
+        service.applied_total = st.moves_replayed;
+        service.sessions_run = st.sessions_closed;
+        service.journal = Some(journal);
+        service.checkpoint_every = st.checkpoint_every;
+        service.rounds_journaled = st.rounds_replayed as u64;
+        service.resume_midsession = st.midsession;
+        Ok((service, report))
+    }
+
+    /// The one place the struct is filled: a fresh service on `g` with
+    /// its context already built, no history, no journal, no audit.
+    fn assemble(config: ServiceConfig, g: Graph, ctx: EvalContext, rules: R) -> Self {
+        let stats_origin = ctx.dynamic_stats_snapshot();
+        RoundService {
+            config,
+            g,
+            ctx,
+            log: StateLog::new(),
             stats_origin,
-            rounds_total: st.rounds_replayed,
-            proposed_total: st.moves_replayed,
-            applied_total: st.moves_replayed,
-            sessions_run: st.sessions_closed,
+            rounds_total: 0,
+            proposed_total: 0,
+            applied_total: 0,
+            sessions_run: 0,
             busy: Duration::ZERO,
             paused: false,
             stopped: false,
-            journal: Some(journal),
-            checkpoint_every: st.checkpoint_every,
-            rounds_journaled: st.rounds_replayed as u64,
+            journal: None,
+            checkpoint_every: 0,
+            rounds_journaled: 0,
             rounds_since_ckpt: 0,
-            resume_midsession: st.midsession,
+            resume_midsession: None,
             killed: false,
             audit: AuditPolicy::default(),
             audit_stats: AuditStats::default(),
             audit_tick: 0,
             audit_cursor: 0,
-            audit_degraded: false,
             rules,
-        };
-        Ok((service, report))
+        }
     }
 
-    /// Overrides the maintained matrices' fallback threshold (rows
-    /// repaired per deletion before a full rebuild is cheaper) on both
-    /// contexts — the rebuild is deterministic too, so lockstep survives
-    /// either extreme.
+    /// Overrides the maintained matrix's fallback threshold (rows
+    /// repaired per deletion before a full rebuild is cheaper) — the
+    /// rebuild is deterministic too, so results are identical at either
+    /// extreme.
     pub fn set_max_repair_rows(&mut self, rows: usize) {
-        self.live.set_max_repair_rows(rows);
-        if let Some(snap) = self.snap.as_mut() {
-            snap.set_max_repair_rows(rows);
-        }
+        self.ctx.set_max_repair_rows(rows);
     }
 
     /// Attaches a crash-safe write-ahead journal at `path` (truncating
@@ -560,10 +404,10 @@ impl<R: GameRules> RoundService<R> {
         let mut journal = Journal::create(path)?;
         journal.append_synced(&JournalRecord::Seed {
             objective: self.rules.name().to_string(),
-            response: self.config.rounds.response,
-            max_rounds: self.config.rounds.max_rounds,
-            detect_cycles: self.config.rounds.detect_cycles,
-            pipelined: self.config.pipelined,
+            response: self.config.response,
+            max_rounds: self.config.max_rounds,
+            detect_cycles: self.config.detect_cycles,
+            pipelined: false,
             checkpoint_every: opts.checkpoint_every,
             graph6: graph6::encode(&self.g),
         });
@@ -600,12 +444,6 @@ impl<R: GameRules> RoundService<R> {
         self.audit_stats
     }
 
-    /// Whether a healed divergence has quarantined the pipelined path
-    /// (cleared by the next clean audit).
-    pub fn audit_degraded(&self) -> bool {
-        self.audit_degraded
-    }
-
     /// Whether a testkit kill point fired: the service simulated a crash
     /// after a journal commit and is permanently stopped — recover with
     /// [`resume`](Self::resume) on the journal file.
@@ -614,8 +452,8 @@ impl<R: GameRules> RoundService<R> {
     }
 
     /// Runs one audit immediately (ignoring the cadence): verifies the
-    /// next stripe of rows, heals divergences, and updates the
-    /// degradation state. Returns the number of divergent rows found.
+    /// next stripe of rows and heals divergences. Returns the number of
+    /// divergent rows found.
     pub fn run_audit(&mut self) -> usize {
         let n = self.g.n();
         if n == 0 {
@@ -628,41 +466,26 @@ impl<R: GameRules> RoundService<R> {
         self.audit_cursor = (self.audit_cursor as usize + stripe) as V % n as V;
         bncg_telemetry::counter!("audit.checks").incr();
         self.audit_stats.checks += 1;
-        let divergent = self.live.audit_rows(&rows);
+        let divergent = self.ctx.audit_rows(&rows);
         if divergent.is_empty() {
-            if self.audit_degraded {
-                // Clean audit: lift the quarantine and bring the
-                // snapshot back into lockstep with the healed matrix.
-                self.audit_degraded = false;
-                self.resync_snapshot();
-            }
             return 0;
         }
         bncg_telemetry::counter!("audit.row_mismatches").add(divergent.len() as u64);
         self.audit_stats.row_mismatches += divergent.len() as u64;
-        self.live.heal_rows(&divergent);
+        self.ctx.heal_rows(&divergent);
         bncg_telemetry::counter!("audit.heals").incr();
         self.audit_stats.heals += 1;
-        // Quarantine: proposals swept against the (possibly corrupt)
-        // snapshot are untrusted, and so is the snapshot itself. Rounds
-        // run serially off the healed live context until an audit passes
-        // clean.
-        self.audit_degraded = true;
-        self.pending = None;
-        if self.snap.is_some() {
-            self.snap_stale = true;
-        }
         divergent.len()
     }
 
-    /// Overwrites one entry of the live maintained matrix — the
+    /// Overwrites one entry of the maintained matrix — the
     /// fault-injection hook behind the audit tests. Testkit builds only
     /// (the hook it forwards to on [`EvalContext`] is feature-gated the
     /// same way, so a bare `cfg(test)` build of this crate could not
     /// link it).
     #[cfg(feature = "testkit")]
     pub fn corrupt_live_entry(&mut self, u: V, v: V, d: bncg_graph::Dist) {
-        self.live.corrupt_base_entry(u, v, d);
+        self.ctx.corrupt_base_entry(u, v, d);
     }
 
     fn run_audit_if_due(&mut self) {
@@ -682,16 +505,18 @@ impl<R: GameRules> RoundService<R> {
     /// — the write-ahead barrier), then services the testkit kill point
     /// that simulates a crash *between* the journal commit and the
     /// matrix apply. `moves` is `Some` exactly when a journal is
-    /// attached (the caller skips building the vector otherwise).
+    /// attached (the caller skips building the vector otherwise); an
+    /// unjournaled barrier has no commit to crash after.
     fn journal_round_barrier(&mut self, round: usize, moves: Option<Vec<SwapMove>>) {
-        if let (Some(journal), Some(moves)) = (self.journal.as_mut(), moves) {
-            self.rounds_journaled += 1;
-            journal.append_synced(&JournalRecord::Round {
-                round,
-                moves,
-                graph_crc: recovery::graph_crc(&self.g),
-            });
-        }
+        let (Some(journal), Some(moves)) = (self.journal.as_mut(), moves) else {
+            return;
+        };
+        self.rounds_journaled += 1;
+        journal.append_synced(&JournalRecord::Round {
+            round,
+            moves,
+            graph_crc: recovery::graph_crc(&self.g),
+        });
         if crate::fault_point("service.kill.after_journal") {
             self.killed = true;
             self.stopped = true;
@@ -711,9 +536,9 @@ impl<R: GameRules> RoundService<R> {
     }
 
     /// Writes a full checkpoint (graph6 + matrix CRC) every
-    /// `checkpoint_every` journaled rounds. Called after the live repair
-    /// at a round barrier, so the matrix CRC describes the post-round
-    /// matrix a resume must reproduce.
+    /// `checkpoint_every` journaled rounds. Called after the matrix
+    /// repair at a round barrier, so the matrix CRC describes the
+    /// post-round matrix a resume must reproduce.
     fn maybe_checkpoint(&mut self) {
         if self.checkpoint_every == 0 || self.journal.is_none() {
             return;
@@ -726,7 +551,7 @@ impl<R: GameRules> RoundService<R> {
         // Games that never touch distances keep the matrix lazy; the
         // checkpoint records a zero CRC and resume skips verification.
         let matrix_crc = if self.rules.needs_apsp() {
-            recovery::matrix_crc(self.live.base())
+            recovery::matrix_crc(self.ctx.base())
         } else {
             0
         };
@@ -760,10 +585,11 @@ impl<R: GameRules> RoundService<R> {
         (self.proposed_total, self.applied_total)
     }
 
-    /// Dynamic-distance counters of the live context accumulated over the
-    /// whole service lifetime ([`RepairStats::delta_since`] construction).
+    /// Dynamic-distance counters of the maintained context accumulated
+    /// over the whole service lifetime ([`RepairStats::delta_since`]
+    /// construction).
     pub fn repair_totals(&self) -> RepairStats {
-        self.live
+        self.ctx
             .dynamic_stats_snapshot()
             .delta_since(&self.stats_origin)
     }
@@ -788,14 +614,12 @@ impl<R: GameRules> RoundService<R> {
 
     /// Requests a cooperative halt: the running/next session returns at
     /// the next round boundary (reported as `interrupted`) and further
-    /// sessions are no-ops until [`resume`](Self::resume).
+    /// sessions are no-ops until [`unpause`](Self::unpause).
     pub fn pause(&mut self) {
         self.paused = true;
     }
 
     /// Lifts a [`pause`](Self::pause). No-op on a stopped service.
-    /// (Renamed from `resume` when [`resume`](Self::resume) became the
-    /// journal-recovery constructor.)
     pub fn unpause(&mut self) {
         self.paused = false;
     }
@@ -811,10 +635,9 @@ impl<R: GameRules> RoundService<R> {
     }
 
     /// Applies external swaps between sessions — traffic injection — each
-    /// through the incremental single-swap repair on *both* contexts (no
-    /// rebuild, lockstep preserved). No-op moves are skipped; returns the
-    /// number of swaps actually applied. Invalidates pending proposals
-    /// and clears the cycle log (the state genuinely changed).
+    /// through the incremental single-swap repair (no rebuild). No-op
+    /// moves are skipped; returns the number of swaps actually applied.
+    /// Clears the cycle log (the state genuinely changed).
     pub fn perturb(&mut self, swaps: &[SwapMove]) -> usize {
         if self.stopped {
             return 0;
@@ -825,19 +648,11 @@ impl<R: GameRules> RoundService<R> {
             if matches!(rec, SwapApplied::Noop) {
                 continue;
             }
-            self.live.refresh_after(&self.g, &rec);
-            // A stale snapshot is behind by whole replayed batches;
-            // repairing it here would corrupt it. Leave it to the resync.
-            if !self.snap_stale {
-                if let Some(snap) = self.snap.as_mut() {
-                    snap.refresh_after(&self.g, &rec);
-                }
-            }
+            self.ctx.refresh_after(&self.g, &rec);
             applied_moves.push(*mv);
         }
         let applied = applied_moves.len();
         if applied > 0 {
-            self.pending = None;
             self.log.clear();
             if let Some(journal) = self.journal.as_mut() {
                 journal.append_synced(&JournalRecord::Perturb {
@@ -858,15 +673,13 @@ impl<R: GameRules> RoundService<R> {
     /// (converged / cycled / per-session cap) or the service is paused or
     /// stopped, streaming one [`RoundRecord`] per round into `sink`.
     ///
-    /// A single session from a fresh start is **byte-identical** to
+    /// A single session from a fresh start *is*
     /// [`RoundDynamics::run_with_sink`](crate::rounds::RoundDynamics::run_with_sink)
-    /// — same outcome, same graph, same records — whether or not
-    /// pipelining is on (the phase-*timing* fields of the records aside;
-    /// see the [module docs](self)). Cycle detection restarts at each
-    /// session boundary.
+    /// — same outcome, same graph, same records. Cycle detection restarts
+    /// at each session boundary.
     pub fn run_session(&mut self, sink: &mut dyn MetricsSink) -> SessionReport {
         let t0 = Instant::now();
-        let stats_before = self.live.dynamic_stats_snapshot();
+        let stats_before = self.ctx.dynamic_stats_snapshot();
         if self.paused || self.stopped {
             sink.finish();
             return self.report(
@@ -880,9 +693,6 @@ impl<R: GameRules> RoundService<R> {
                 t0.elapsed(),
             );
         }
-        if !self.audit_degraded {
-            self.resync_snapshot();
-        }
         // A resumed mid-session run continues where the journal stopped:
         // the cycle log was reconstructed by replay, the session-start
         // record is already on disk, and round numbering picks up.
@@ -890,44 +700,29 @@ impl<R: GameRules> RoundService<R> {
             Some(done) => done,
             None => {
                 self.log.clear();
-                if self.config.rounds.detect_cycles {
+                if self.config.detect_cycles {
                     self.log.record_period(&self.g);
                 }
                 self.journal_session_start(false);
                 0
             }
         };
-        let mut book = SessionBook {
-            prev_cost: if sink.active() {
-                self.rules.social_cost(&self.live)
-            } else {
-                None
-            },
-            round_stats: stats_before,
-            round_phases: repair_phase_totals(),
-        };
+        let mut book = SessionBook::open(sink, &self.rules, &self.ctx, stats_before);
         let mut moves_proposed = 0usize;
         let mut moves_applied = 0usize;
         let mut rounds = start_round;
         let mut session_end: Option<(Outcome, Option<usize>)> = None;
         let mut interrupted = false;
-        for round in start_round..self.config.rounds.max_rounds {
+        for round in start_round..self.config.max_rounds {
             if self.paused || self.stopped {
                 interrupted = true;
                 break;
             }
+            // Audit before the sweep reads the matrix, so a divergence is
+            // healed before any proposal or batch repair builds on it.
+            self.run_audit_if_due();
             rounds = round + 1;
-            let use_pipeline = self.config.pipelined && !self.audit_degraded;
-            let (proposed, applied, ended) = if use_pipeline {
-                self.pipelined_round(sink, &mut book, rounds)
-            } else {
-                self.serial_round(sink, &mut book, rounds)
-            };
-            if !use_pipeline && self.snap.is_some() {
-                // Serial rounds on a pipelined service (the audit's
-                // degraded mode) leave the snapshot behind.
-                self.snap_stale = true;
-            }
+            let (proposed, applied, ended) = self.play_round(sink, &mut book, rounds);
             moves_proposed += proposed;
             moves_applied += applied;
             if self.killed {
@@ -938,7 +733,6 @@ impl<R: GameRules> RoundService<R> {
                 session_end = Some(end);
                 break;
             }
-            self.run_audit_if_due();
         }
         sink.finish();
         let (outcome, cycle_period) = session_end.unwrap_or((Outcome::Capped, None));
@@ -957,20 +751,19 @@ impl<R: GameRules> RoundService<R> {
         )
     }
 
-    /// One round through the plain serial path: the exact
-    /// [`step_round`](crate::rounds::step_round) + bookkeeping sequence
-    /// of the serial engine, on the live context only — inlined here so
-    /// the journal commit lands *between* the graph mutation and the
-    /// matrix repair (the write-ahead barrier).
-    fn serial_round(
+    /// One round: the [`step_round`](crate::rounds::step_round) sequence
+    /// plus its bookkeeping, inlined so the journal commit lands
+    /// *between* the graph mutation and the matrix repair (the
+    /// write-ahead barrier).
+    fn play_round(
         &mut self,
         sink: &mut dyn MetricsSink,
         book: &mut SessionBook,
         round: usize,
     ) -> (usize, usize, Option<(Outcome, Option<usize>)>) {
-        let proposals = Self::propose(&self.rules, &self.live, self.config.rounds.response);
+        let proposals = propose(&self.rules, &self.ctx, self.config.response);
         let proposed = proposals.iter().flatten().count();
-        let accepted = resolve_round_with(&self.rules, &self.live, &proposals);
+        let accepted = resolve_round_with(&self.rules, &self.ctx, &proposals);
         let batch: Vec<SwapApplied> = accepted.iter().map(|s| s.mv.apply(&mut self.g)).collect();
         let applied = batch.len();
         if !batch.is_empty() {
@@ -982,12 +775,12 @@ impl<R: GameRules> RoundService<R> {
             if self.killed {
                 return (proposed, applied, None);
             }
-            self.live.refresh_after_batch(&self.g, &batch);
+            self.ctx.refresh_after_batch(&self.g, &batch);
             self.maybe_checkpoint();
         }
         let ended: Option<(Outcome, Option<usize>)> = if proposed == 0 {
             Some((Outcome::Converged, None))
-        } else if self.config.rounds.detect_cycles {
+        } else if self.config.detect_cycles {
             self.log
                 .record_period(&self.g)
                 .map(|p| (Outcome::Cycled, Some(p)))
@@ -997,7 +790,7 @@ impl<R: GameRules> RoundService<R> {
         emit_record(
             sink,
             &self.rules,
-            &self.live,
+            &self.ctx,
             book,
             round,
             proposed,
@@ -1007,98 +800,11 @@ impl<R: GameRules> RoundService<R> {
         (proposed, applied, ended)
     }
 
-    /// One round through the pipelined barrier: consume the proposals the
-    /// previous barrier's pool branch left behind (or sweep them now, on
-    /// the first round of a state), resolve + apply, then overlap the
-    /// live repair & bookkeeping with the snapshot repair & next sweep.
-    fn pipelined_round(
-        &mut self,
-        sink: &mut dyn MetricsSink,
-        book: &mut SessionBook,
-        round: usize,
-    ) -> (usize, usize, Option<(Outcome, Option<usize>)>) {
-        let response = self.config.rounds.response;
-        let proposals = match self.pending.take() {
-            Some(p) => p,
-            None => Self::propose(
-                &self.rules,
-                self.snap.as_ref().unwrap_or(&self.live),
-                response,
-            ),
-        };
-        let proposed = proposals.iter().flatten().count();
-        if proposed == 0 {
-            // Converged round: no batch, nothing to overlap — and the
-            // proposals stay pending (the state is not changing).
-            let ended = Some((Outcome::Converged, None));
-            emit_record(sink, &self.rules, &self.live, book, round, 0, 0, ended);
-            self.pending = Some(proposals);
-            return (0, 0, ended);
-        }
-        let accepted = resolve_round_with(&self.rules, &self.live, &proposals);
-        let batch: Vec<SwapApplied> = accepted.iter().map(|s| s.mv.apply(&mut self.g)).collect();
-        let applied = batch.len();
-        // Write-ahead commit before either context repairs; the kill
-        // point inside simulates a crash landing exactly here.
-        let moves = self
-            .journal
-            .is_some()
-            .then(|| accepted.iter().map(|s| s.mv).collect());
-        self.journal_round_barrier(round, moves);
-        if self.killed {
-            return (proposed, applied, None);
-        }
-        let detect = self.config.rounds.detect_cycles;
-        let batch = &batch[..];
-        let rules = &self.rules;
-        let g = &self.g;
-        let live = &mut self.live;
-        let log = &mut self.log;
-        let snap = self
-            .snap
-            .as_mut()
-            .expect("pipelined service always carries the snapshot context");
-        // The barrier. Main branch (caller thread, may hold the non-Send
-        // sink): live repair, cycle check, record + I/O. Pool branch:
-        // lockstep snapshot repair, then the *next* round's proposal
-        // sweep — itself fanning out over the pool.
-        let ((ended, main_ns), (next, pool_ns)) = rayon::join(
-            move || {
-                let t = Instant::now();
-                live.refresh_after_batch(g, batch);
-                let ended: Option<(Outcome, Option<usize>)> = if detect {
-                    log.record_period(g).map(|p| (Outcome::Cycled, Some(p)))
-                } else {
-                    None
-                };
-                emit_record(sink, rules, live, book, round, proposed, applied, ended);
-                (ended, t.elapsed().as_nanos() as u64)
-            },
-            move || {
-                if crate::fault_point("service.pool.panic") {
-                    panic!("injected pool-job panic");
-                }
-                let t = Instant::now();
-                snap.refresh_after_batch(g, batch);
-                let next = Self::propose(rules, snap, response);
-                (next, t.elapsed().as_nanos() as u64)
-            },
-        );
-        bncg_telemetry::histogram!("service.overlap_ns").record(main_ns.min(pool_ns));
-        bncg_telemetry::histogram!("service.stall_ns").record(pool_ns.saturating_sub(main_ns));
-        // Valid even when the session just ended: the proposals match the
-        // current graph state, so a later session (or a converged check)
-        // consumes them for free. `perturb` is what invalidates them.
-        self.pending = Some(next);
-        self.maybe_checkpoint();
-        (proposed, applied, ended)
-    }
-
     /// Streams externally recorded rounds — traffic replay — through the
     /// service's barrier machinery: each round of `stream` is applied as
     /// one batch, booked through the same [`RoundRecord`] path as live
-    /// rounds, and repaired into the live matrix. Every round must be
-    /// pairwise footprint-disjoint and valid against the state its
+    /// rounds, and repaired into the maintained matrix. Every round must
+    /// be pairwise footprint-disjoint and valid against the state its
     /// predecessors left behind — exactly what
     /// [`resolve_round`](crate::rounds::resolve_round)
     /// guarantees for live rounds and what recorded round streams carry
@@ -1108,24 +814,19 @@ impl<R: GameRules> RoundService<R> {
     /// *decides*: nothing. The stream is fixed, so there is no proposal
     /// sweep, no convergence test, and no cycle termination — the session
     /// drains the stream (reported as [`Outcome::Capped`]) unless paused
-    /// or stopped first. Because nothing sweeps, the pipelined snapshot
-    /// is not consulted either: replay skips its repairs entirely and
-    /// marks it stale, and the next live session resynchronizes it with
-    /// one pooled matrix copy — much cheaper than dual-repairing every
-    /// replayed batch. Replayed traffic changes the network, so pending
-    /// speculative proposals and the cycle log are invalidated like
-    /// [`perturb`](Self::perturb) does. This is the entry the sustained-
-    /// throughput benchmark and the CI service gate drive: it isolates
-    /// the service's barrier cost (repair + bookkeeping + streaming, no
-    /// per-session setup) from the proposal-sweep cost both engines
-    /// share.
+    /// or stopped first. Replayed traffic changes the network, so the
+    /// cycle log is cleared like [`perturb`](Self::perturb) does. This is
+    /// the entry the sustained-throughput benchmark and the CI service
+    /// gate drive: it isolates the service's barrier cost (repair +
+    /// bookkeeping + streaming, no per-session setup) from the
+    /// proposal-sweep cost both engines share.
     pub fn replay_session(
         &mut self,
         stream: &[Vec<SwapMove>],
         sink: &mut dyn MetricsSink,
     ) -> SessionReport {
         let t0 = Instant::now();
-        let stats_before = self.live.dynamic_stats_snapshot();
+        let stats_before = self.ctx.dynamic_stats_snapshot();
         if self.paused || self.stopped {
             sink.finish();
             return self.report(
@@ -1139,18 +840,9 @@ impl<R: GameRules> RoundService<R> {
                 t0.elapsed(),
             );
         }
-        self.pending = None;
         self.log.clear();
         self.journal_session_start(true);
-        let mut book = SessionBook {
-            prev_cost: if sink.active() {
-                self.rules.social_cost(&self.live)
-            } else {
-                None
-            },
-            round_stats: stats_before,
-            round_phases: repair_phase_totals(),
-        };
+        let mut book = SessionBook::open(sink, &self.rules, &self.ctx, stats_before);
         let mut moves_proposed = 0usize;
         let mut moves_applied = 0usize;
         let mut rounds = 0usize;
@@ -1165,7 +857,7 @@ impl<R: GameRules> RoundService<R> {
             let batch: Vec<SwapApplied> = round.iter().map(|mv| mv.apply(&mut self.g)).collect();
             moves_applied += batch.len();
             if batch.is_empty() {
-                emit_record(sink, &self.rules, &self.live, &mut book, rounds, 0, 0, None);
+                emit_record(sink, &self.rules, &self.ctx, &mut book, rounds, 0, 0, None);
                 continue;
             }
             let applied = batch.len();
@@ -1175,15 +867,12 @@ impl<R: GameRules> RoundService<R> {
                 interrupted = true;
                 break;
             }
-            self.live.refresh_after_batch(&self.g, &batch);
-            if self.snap.is_some() {
-                self.snap_stale = true;
-            }
+            self.ctx.refresh_after_batch(&self.g, &batch);
             self.maybe_checkpoint();
             emit_record(
                 sink,
                 &self.rules,
-                &self.live,
+                &self.ctx,
                 &mut book,
                 rounds,
                 applied,
@@ -1205,25 +894,6 @@ impl<R: GameRules> RoundService<R> {
             interrupted,
             t0.elapsed(),
         )
-    }
-
-    /// Brings a snapshot left stale by replay sessions back into lockstep
-    /// with the live context — one pooled matrix copy, instead of
-    /// replaying every skipped batch.
-    fn resync_snapshot(&mut self) {
-        if self.snap_stale {
-            self.snap = Some(self.live.clone_pooled());
-            self.snap_stale = false;
-        }
-    }
-
-    /// The frozen-snapshot proposal sweep of every agent, under the
-    /// session's response rule.
-    fn propose(rules: &R, ctx: &EvalContext, response: Response) -> Vec<Option<ScoredSwap>> {
-        match response {
-            Response::Best => rules.best_responses_par(ctx),
-            Response::FirstImproving => rules.first_improving_responses_par(ctx),
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1251,70 +921,11 @@ impl<R: GameRules> RoundService<R> {
                 moves_proposed,
                 moves_applied,
                 cycle_period,
-                repair: self.live.dynamic_stats_snapshot().delta_since(stats_before),
+                repair: self.ctx.dynamic_stats_snapshot().delta_since(stats_before),
             },
             interrupted,
             wall,
         }
-    }
-}
-
-/// The pipelined round engine with the serial engine's one-shot calling
-/// convention: construct, [`run`](Self::run), get a [`RoundResult`] —
-/// byte-identical to [`RoundDynamics`](crate::rounds::RoundDynamics) on
-/// the same start (property-pinned), with every round barrier overlapped
-/// as described in the [module docs](self). Internally a one-session
-/// [`RoundService`].
-pub struct PipelinedRoundDynamics<R: GameRules> {
-    config: RoundConfig,
-    repair_strategy: RepairStrategy,
-    rules: R,
-}
-
-impl<R: GameRules> PipelinedRoundDynamics<R> {
-    /// Engine with the given configuration.
-    pub fn new(config: RoundConfig) -> Self
-    where
-        R: Default,
-    {
-        Self::with_rules(config, R::default())
-    }
-
-    /// Engine with an explicit (possibly stateful) rule set.
-    pub fn with_rules(config: RoundConfig, rules: R) -> Self {
-        PipelinedRoundDynamics {
-            config,
-            repair_strategy: RepairStrategy::default(),
-            rules,
-        }
-    }
-
-    /// Selects the deletion-repair implementation backing both maintained
-    /// matrices (byte-identical results either way).
-    #[must_use]
-    pub fn with_repair_strategy(mut self, strategy: RepairStrategy) -> Self {
-        self.repair_strategy = strategy;
-        self
-    }
-
-    /// Runs the pipelined round dynamics from `start`.
-    pub fn run(&self, start: &Graph) -> RoundResult {
-        self.run_with_sink(start, &mut NullSink)
-    }
-
-    /// [`run`](Self::run) with a record stream, mirroring
-    /// [`RoundDynamics::run_with_sink`](crate::rounds::RoundDynamics::run_with_sink).
-    pub fn run_with_sink(&self, start: &Graph, sink: &mut dyn MetricsSink) -> RoundResult {
-        let mut service = RoundService::with_rules(
-            start,
-            ServiceConfig {
-                rounds: self.config,
-                pipelined: true,
-            },
-            self.repair_strategy,
-            self.rules.clone(),
-        );
-        service.run_session(sink).result
     }
 }
 
@@ -1331,56 +942,16 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             let mut y = *y;
             // Phase *timings* are wall-clock and process-global — never
-            // byte-stable, and doubled under pipelining (module docs).
+            // byte-stable.
             y.phases = x.phases;
             assert_eq!(*x, y, "record diverged at round {}", x.round);
         }
     }
 
     #[test]
-    fn pipelined_engine_matches_serial_on_classics() {
-        for start in [
-            classic::path(9),
-            classic::path(10), // oscillates
-            classic::cycle(12),
-            classic::grid(3, 4),
-            classic::star(8),
-        ] {
-            let serial = RoundDynamics::<SumObjective>::new(RoundConfig::default());
-            let mut serial_sink = MemorySink::new();
-            let expected = serial.run_with_sink(&start, &mut serial_sink);
-            let pipelined = PipelinedRoundDynamics::<SumObjective>::new(RoundConfig::default());
-            let mut pipe_sink = MemorySink::new();
-            let got = pipelined.run_with_sink(&start, &mut pipe_sink);
-            assert_eq!(got.graph, expected.graph);
-            assert_eq!(got.outcome, expected.outcome);
-            assert_eq!(got.rounds, expected.rounds);
-            assert_eq!(got.moves_proposed, expected.moves_proposed);
-            assert_eq!(got.moves_applied, expected.moves_applied);
-            assert_eq!(got.cycle_period, expected.cycle_period);
-            assert_eq!(got.repair, expected.repair);
-            assert_records_match_modulo_phases(&pipe_sink.records, &serial_sink.records);
-        }
-    }
-
-    #[test]
-    fn pipelined_runs_repair_and_never_rebuild() {
-        let engine = PipelinedRoundDynamics::<SumObjective>::new(RoundConfig::default());
-        let result = engine.run(&classic::path(10));
-        assert!(result.repair.updates > 0);
-        assert_eq!(result.repair.full_rebuilds, 0);
-    }
-
-    #[test]
     fn service_sessions_continue_without_rebuilds() {
         let start = classic::path(12);
-        let mut service = RoundService::<SumObjective>::new(
-            &start,
-            ServiceConfig {
-                pipelined: true,
-                ..ServiceConfig::default()
-            },
-        );
+        let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
         let first = service.run_session_plain();
         assert_eq!(first.result.outcome, Outcome::Converged);
         assert!(!first.interrupted);
@@ -1411,15 +982,9 @@ mod tests {
     #[test]
     fn service_session_after_perturb_matches_fresh_serial_run() {
         // The restartless continuation must land exactly where a fresh
-        // serial engine run from the perturbed state lands.
+        // engine run from the perturbed state lands.
         let start = classic::path(11);
-        let mut service = RoundService::<MaxObjective>::new(
-            &start,
-            ServiceConfig {
-                pipelined: true,
-                ..ServiceConfig::default()
-            },
-        );
+        let mut service = RoundService::<MaxObjective>::new(&start, ServiceConfig::default());
         service.run_session_plain();
         let g = service.graph().clone();
         let e = g.edge_vec()[1];
@@ -1443,13 +1008,7 @@ mod tests {
     #[test]
     fn pause_and_stop_bound_sessions() {
         let start = classic::path(10); // oscillates: sessions would cycle forever
-        let mut service = RoundService::<SumObjective>::new(
-            &start,
-            ServiceConfig {
-                pipelined: true,
-                ..ServiceConfig::default()
-            },
-        );
+        let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
         service.pause();
         let paused = service.run_session_plain();
         assert!(paused.interrupted);
@@ -1467,11 +1026,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_session_streams_external_rounds_in_lockstep() {
+    fn replay_session_streams_external_rounds() {
         // A palindromic traffic stream (two rounds + their inverses) on a
-        // cycle: after replay the network is back at the start, the
-        // maintained matrices of both service modes are byte-identical to
-        // a fresh build, and the two modes book identical records.
+        // cycle: after replay the network is back at the start and the
+        // maintained matrix is byte-identical to a fresh build.
         let start = classic::cycle(16);
         let stream = vec![
             vec![
@@ -1485,47 +1043,27 @@ mod tests {
                 SwapMove { v: 8, w: 12, w2: 9 },
             ],
         ];
-        let mut reports = Vec::new();
-        let mut sinks = Vec::new();
-        for pipelined in [false, true] {
-            let mut service = RoundService::<SumObjective>::new(
-                &start,
-                ServiceConfig {
-                    pipelined,
-                    ..ServiceConfig::default()
-                },
-            );
-            let mut sink = MemorySink::new();
-            let report = service.replay_session(&stream, &mut sink);
-            assert_eq!(service.graph(), &start, "palindrome must restore the start");
-            assert_eq!(report.result.rounds, 4);
-            assert_eq!(report.result.moves_applied, 6);
-            assert_eq!(report.result.outcome, Outcome::Capped);
-            assert!(!report.interrupted);
-            assert_eq!(report.result.repair.full_rebuilds, 0);
-            assert_eq!(service.rounds_total(), 4);
-            assert!(service.sustained_rounds_per_sec().is_some());
-            // The live matrix lands exactly on a fresh build; in
-            // pipelined mode the snapshot is stale by design until the
-            // next live session resyncs it.
-            let fresh = EvalContext::new(&start);
-            assert_eq!(service.live.base(), fresh.base());
-            assert_eq!(service.snap_stale, pipelined);
-            // A live session after replay exercises the resync path and
-            // must still match a fresh serial engine run byte for byte.
-            let mut live_sink = MemorySink::new();
-            let continued = service.run_session(&mut live_sink);
-            assert!(!service.snap_stale);
-            let mut fresh_sink = MemorySink::new();
-            let expected = RoundDynamics::<SumObjective>::new(RoundConfig::default())
-                .run_with_sink(&start, &mut fresh_sink);
-            assert_eq!(continued.result.graph, expected.graph);
-            assert_eq!(continued.result.outcome, expected.outcome);
-            assert_eq!(continued.result.rounds, expected.rounds);
-            reports.push(report);
-            sinks.push(sink);
-        }
-        assert_records_match_modulo_phases(&sinks[1].records, &sinks[0].records);
+        let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
+        let mut sink = MemorySink::new();
+        let report = service.replay_session(&stream, &mut sink);
+        assert_eq!(service.graph(), &start, "palindrome must restore the start");
+        assert_eq!(report.result.rounds, 4);
+        assert_eq!(report.result.moves_applied, 6);
+        assert_eq!(report.result.outcome, Outcome::Capped);
+        assert!(!report.interrupted);
+        assert_eq!(report.result.repair.full_rebuilds, 0);
+        assert_eq!(sink.records.len(), 4);
+        assert_eq!(service.rounds_total(), 4);
+        assert!(service.sustained_rounds_per_sec().is_some());
+        let fresh = EvalContext::new(&start);
+        assert_eq!(service.ctx.base(), fresh.base());
+        // A live session after replay must still match a fresh engine
+        // run byte for byte.
+        let continued = service.run_session_plain();
+        let expected = RoundDynamics::<SumObjective>::new(RoundConfig::default()).run(&start);
+        assert_eq!(continued.result.graph, expected.graph);
+        assert_eq!(continued.result.outcome, expected.outcome);
+        assert_eq!(continued.result.rounds, expected.rounds);
     }
 
     #[test]
@@ -1536,23 +1074,18 @@ mod tests {
 
         let start = classic::path(9);
         // Size a two-record budget from a dry run — the mid-run full disk.
+        // Records carry wall-clock phase timings, so line lengths vary
+        // between runs by a few digits: half the third line of slack keeps
+        // exactly two lines fitting.
         let probe = {
             let mut sink = MemorySink::new();
-            PipelinedRoundDynamics::<SumObjective>::new(RoundConfig::default())
+            RoundDynamics::<SumObjective>::new(RoundConfig::default())
                 .run_with_sink(&start, &mut sink);
             assert!(sink.records.len() > 2, "need a run longer than the budget");
-            sink.records[..2]
-                .iter()
-                .map(|r| r.to_jsonl().len() + 1)
-                .sum::<usize>()
+            let line = |r: &RoundRecord| r.to_jsonl().len() + 1;
+            line(&sink.records[0]) + line(&sink.records[1]) + line(&sink.records[2]) / 2
         };
-        let mut service = RoundService::<SumObjective>::new(
-            &start,
-            ServiceConfig {
-                pipelined: true,
-                ..ServiceConfig::default()
-            },
-        );
+        let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
         let mut sink = JsonlSink::new(FailingWriter {
             budget: probe,
             written: Vec::new(),

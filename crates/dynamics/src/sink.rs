@@ -19,12 +19,9 @@
 //!
 //! **Caveat (phase deltas):** [`RepairPhases`] reads process-global
 //! histograms, so two dynamics runs in flight at once attribute each
-//! other's repair time to their concurrent rounds. The pipelined engine
-//! ([`crate::service`]) aliases *by design*: every round repairs both the
-//! live and the snapshot context inside one round window, so pipelined
-//! records carry roughly twice the repair phase time per round. The
-//! per-run [`RepairStats`] delta has no such aliasing in either engine
-//! (it lives on the run's own live `DynamicApsp`).
+//! other's repair time to their concurrent rounds. The per-run
+//! [`RepairStats`] delta has no such aliasing (it lives on the run's own
+//! `DynamicApsp`).
 
 use std::io::{self, Write};
 

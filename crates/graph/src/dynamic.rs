@@ -381,30 +381,6 @@ impl DynamicApsp {
         &self.dm
     }
 
-    /// Copy of this maintained matrix backed by a pooled buffer
-    /// ([`DistanceMatrix::clone_pooled`]), carrying the per-vertex cost
-    /// aggregates, the fallback threshold, and the repair strategy — but
-    /// **not** the update counters (the clone starts with zeroed
-    /// [`RepairStats`], so each copy's counters describe its own updates)
-    /// and not the repair scratch buffers (re-grown lazily on first use).
-    /// This is the snapshot handoff of the pipelined round engine: clone
-    /// once, then keep both copies in lockstep by feeding them the same
-    /// deterministic batches.
-    pub fn clone_pooled(&self) -> DynamicApsp {
-        DynamicApsp {
-            dm: self.dm.clone_pooled(),
-            n: self.n,
-            max_repair_rows: self.max_repair_rows,
-            strategy: self.strategy,
-            stats: RepairStats::default(),
-            roots: Vec::new(),
-            row_x: Vec::new(),
-            row_y: Vec::new(),
-            mask_touch: Vec::new(),
-            costs: self.costs.clone(),
-        }
-    }
-
     /// Consumes the wrapper, returning the matrix.
     pub fn into_matrix(self) -> DistanceMatrix {
         self.dm

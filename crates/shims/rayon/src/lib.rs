@@ -48,7 +48,7 @@ pub mod prelude {
 /// stack after releasing it.
 mod pool {
     use std::collections::VecDeque;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
     use std::time::Duration;
 
@@ -203,103 +203,6 @@ mod pool {
         }
         mirrors_panicked
     }
-
-    /// Runs `oper_a` on the calling thread while `oper_b` runs on a pool
-    /// worker, returning both results — rayon's `join`, restricted to the
-    /// shape this workspace needs. `oper_a` stays on the caller (so it may
-    /// capture non-`Send` state, e.g. a `&mut dyn` sink); `oper_b` crosses
-    /// into the pool and needs `Send`. While waiting for `oper_b` the
-    /// caller helps drain the global queue, so `oper_b` may also end up
-    /// executing on the calling thread — including when `oper_b` itself
-    /// fans out nested sweeps whose mirror jobs the caller picks up.
-    ///
-    /// On a single-core host both closures run sequentially on the caller
-    /// (`oper_a` first, like un-stolen rayon). Panics in either closure
-    /// propagate to the caller — `oper_a`'s first — but only after both
-    /// have finished, which is the blocking discipline that makes the
-    /// borrow-widening of [`widen_job`] sound here too.
-    pub(crate) fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA,
-        B: FnOnce() -> RB + Send,
-        RB: Send,
-    {
-        if hardware_workers() <= 1 {
-            return (oper_a(), oper_b());
-        }
-        let shared = shared();
-        let latch = Arc::new(Latch {
-            state: Mutex::new((1, false)),
-            done: Condvar::new(),
-        });
-        // `oper_b`'s result crosses back on the caller's stack; the latch
-        // guarantees the slot outlives the job (see `widen_job`).
-        let slot: Mutex<Option<std::thread::Result<RB>>> = Mutex::new(None);
-        {
-            let latch = Arc::clone(&latch);
-            let slot = &slot;
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(oper_b));
-                let panicked = result.is_err();
-                *lock(slot) = Some(result);
-                let mut state = lock(&latch.state);
-                state.0 -= 1;
-                state.1 |= panicked;
-                drop(state);
-                latch.done.notify_all();
-            });
-            let mut queue = lock(&shared.queue);
-            queue.push_back(widen_job(job));
-            shared.work_ready.notify_one();
-        }
-        let own = catch_unwind(AssertUnwindSafe(oper_a));
-        // Same wait discipline as `run_mirrored`: participate in the
-        // global queue (we may execute `oper_b` or its nested sweeps'
-        // mirrors ourselves) until the latch records completion.
-        loop {
-            let state = lock(&latch.state);
-            if state.0 == 0 {
-                break;
-            }
-            drop(state);
-            if !try_run_one(shared) {
-                let state = lock(&latch.state);
-                if state.0 != 0 {
-                    let _ = latch
-                        .done
-                        .wait_timeout(state, Duration::from_millis(1))
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-        let ra = match own {
-            Ok(ra) => ra,
-            Err(payload) => resume_unwind(payload),
-        };
-        let taken = lock(&slot)
-            .take()
-            .expect("join latch cleared without a result");
-        match taken {
-            Ok(rb) => (ra, rb),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-}
-
-/// Runs two closures concurrently — `oper_a` on the calling thread,
-/// `oper_b` on the persistent worker pool — and returns both results.
-/// The worker-pool internals own the execution and panic discipline; on a
-/// single-core host the pair degrades to two sequential calls. The
-/// pipelined round engine uses this to overlap the live matrix repair
-/// (plus bookkeeping I/O, hence no `Send` bound on `oper_a`) with the
-/// snapshot repair and next round's proposal sweep.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    pool::join(oper_a, oper_b)
 }
 
 /// Number of worker threads to use for a parallel section.
@@ -590,112 +493,6 @@ mod tests {
         };
         assert!(!crate::pool::run_mirrored(2, &body));
         assert_eq!(count.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = crate::join(|| 6 * 7, || "pool".len());
-        assert_eq!((a, b), (42, 4));
-    }
-
-    #[test]
-    fn join_allows_non_send_state_on_the_caller_side() {
-        // `oper_a` deliberately captures a non-`Send` type (Rc): it must
-        // stay on the calling thread by construction.
-        let local = std::rc::Rc::new(5usize);
-        let caller = std::thread::current().id();
-        let (a, b) = crate::join(
-            || (*local + 1, std::thread::current().id()),
-            || (0..1000u64).sum::<u64>(),
-        );
-        assert_eq!(a, (6, caller));
-        assert_eq!(b, 499_500);
-    }
-
-    #[test]
-    fn join_overlaps_with_nested_sweeps() {
-        // `oper_b` fans out its own parallel sweep while `oper_a` computes
-        // on the caller — the cooperative queue draining must keep both
-        // sides progressing regardless of which thread picks what up.
-        let (a, b) = crate::join(
-            || (0..100_000u64).map(|x| x ^ (x >> 3)).sum::<u64>(),
-            || {
-                (0..64u64)
-                    .into_par_iter()
-                    .map(|x| x * x)
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .sum::<u64>()
-            },
-        );
-        assert_eq!(a, (0..100_000u64).map(|x| x ^ (x >> 3)).sum::<u64>());
-        assert_eq!(b, (0..64u64).map(|x| x * x).sum());
-    }
-
-    #[test]
-    fn join_propagates_pool_side_panics() {
-        let attempt = std::panic::catch_unwind(|| {
-            crate::join(|| 1, || -> usize { panic!("pool-side boom") });
-        });
-        assert!(attempt.is_err());
-        // The pool must still serve work afterwards.
-        let (a, b) = crate::join(|| 2, || 3);
-        assert_eq!((a, b), (2, 3));
-    }
-
-    #[test]
-    fn join_propagates_caller_side_panics_after_the_pool_side_finishes() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        static RAN: AtomicBool = AtomicBool::new(false);
-        let attempt = std::panic::catch_unwind(|| {
-            crate::join(
-                || -> usize { panic!("caller-side boom") },
-                || RAN.store(true, Ordering::SeqCst),
-            );
-        });
-        assert!(attempt.is_err());
-        // On the pool path the caller's unwind is held until `oper_b`
-        // drains (the widen_job safety invariant). The single-core
-        // fallback runs `oper_a` inline first, so its panic legitimately
-        // skips `oper_b` — exactly like un-stolen inline rayon.
-        if crate::pool::hardware_workers() > 1 {
-            assert!(RAN.load(Ordering::SeqCst), "oper_b must complete first");
-        }
-    }
-
-    #[test]
-    fn nested_join_inside_a_mirrored_body_completes() {
-        // A mirror body that itself calls `join` exercises the cooperative
-        // drain from inside a pool job: the inner pool-side closure lands
-        // back on the same queue the mirrors occupy, so any hold-and-wait
-        // in the latch discipline would deadlock right here.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let total = AtomicU64::new(0);
-        let body = || {
-            let (a, b) = crate::join(|| 17u64, || (0..100u64).sum::<u64>());
-            total.fetch_add(a + b, Ordering::SeqCst);
-        };
-        assert!(!crate::pool::run_mirrored(2, &body));
-        assert_eq!(total.load(Ordering::SeqCst), 3 * (17 + 4950));
-    }
-
-    #[test]
-    fn join_survives_both_sides_panicking() {
-        // Both closures blow up: exactly one panic resumes on the caller
-        // (the pool side's payload is dropped once the caller is already
-        // unwinding) and the pool must come back healthy — no poisoned
-        // latch, no orphaned job wedging later sweeps.
-        let attempt = std::panic::catch_unwind(|| {
-            crate::join(
-                || -> usize { panic!("caller-side boom") },
-                || -> usize { panic!("pool-side boom") },
-            );
-        });
-        assert!(attempt.is_err(), "one of the two panics must surface");
-        let (a, b) = crate::join(|| 5, || (0..8u64).product::<u64>());
-        assert_eq!((a, b), (5, 0));
-        let squares: Vec<u64> = (0..32u64).into_par_iter().map(|x| x * x).collect();
-        assert_eq!(squares[31], 961);
     }
 
     #[test]

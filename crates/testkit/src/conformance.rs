@@ -6,10 +6,9 @@
 //! so the code that *drives* the engines cannot live here — it sits in the
 //! facade (`bncg::conformance::trace_engines`). What lives here is the
 //! dependency-free contract both sides agree on: every engine family
-//! (serial rounds, hand-stepped rounds, the round service, the pipelined
-//! service, a journal-resumed service) reduces its run to an
-//! [`EngineTrace`], and [`assert_equivalent`] demands the traces agree
-//! round for round — same proposal count, same accepted count, same
+//! (serial rounds, hand-stepped rounds, the round service, a
+//! journal-resumed service) reduces its run to an [`EngineTrace`], and
+//! [`assert_equivalent`] demands the traces agree round for round — same proposal count, same accepted count, same
 //! social cost — and land on the same final network with the same
 //! outcome.
 //!
@@ -132,7 +131,7 @@ mod tests {
     #[test]
     fn identical_traces_are_equivalent() {
         let a = sample("serial");
-        let b = sample("pipelined");
+        let b = sample("service");
         assert_eq!(a.divergence(&b), None);
         assert_eq!(assert_equivalent(&[a, b], "sample"), 2);
     }

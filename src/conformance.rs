@@ -412,17 +412,15 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bncg_core::rules::GameRules;
-use bncg_dynamics::service::{JournalOptions, PipelinedRoundDynamics, RoundService, ServiceConfig};
+use bncg_dynamics::service::{JournalOptions, RoundService};
 use bncg_dynamics::sink::RoundRecord;
-use bncg_graph::RepairStrategy;
 use bncg_testkit::conformance::EngineTrace;
 
 /// The round-family engines [`trace_engines`] fans a scenario across.
-pub const ROUND_FAMILY_ENGINES: [&str; 5] = [
+pub const ROUND_FAMILY_ENGINES: [&str; 4] = [
     "round-serial",
     "round-stepwise",
     "service-serial",
-    "service-pipelined",
     "service-resumed",
 ];
 
@@ -452,9 +450,9 @@ fn trace_from_records(
 }
 
 /// Runs one seeded scenario through every engine of the round family —
-/// the serial round engine, a hand-stepped [`step_round`] loop, the round
-/// service (serial and pipelined), and a service resumed from a
-/// crash-truncated journal — under the same [`GameRules`], and returns
+/// the round engine, a hand-stepped [`step_round`] loop, the round
+/// service, and a service resumed from a crash-truncated journal — under
+/// the same [`GameRules`], and returns
 /// one normalized [`EngineTrace`] per engine (in
 /// [`ROUND_FAMILY_ENGINES`] order).
 ///
@@ -470,7 +468,7 @@ pub fn trace_engines<R: GameRules>(
 ) -> Vec<EngineTrace> {
     let mut traces = Vec::with_capacity(ROUND_FAMILY_ENGINES.len());
 
-    // 1. The serial round engine.
+    // 1. The one-shot round engine.
     {
         let mut sink = MemorySink::new();
         let engine = RoundDynamics::with_rules(config, rules.clone());
@@ -514,18 +512,10 @@ pub fn trace_engines<R: GameRules>(
         traces.push(t);
     }
 
-    // 3. The round service, serial barriers.
+    // 3. The round service, driven directly.
     {
         let mut sink = MemorySink::new();
-        let mut service = RoundService::with_rules(
-            start,
-            ServiceConfig {
-                rounds: config,
-                pipelined: false,
-            },
-            RepairStrategy::default(),
-            rules.clone(),
-        );
+        let mut service = RoundService::with_rules(start, config, rules.clone());
         let report = service.run_session(&mut sink);
         traces.push(trace_from_records(
             "service-serial",
@@ -535,34 +525,13 @@ pub fn trace_engines<R: GameRules>(
         ));
     }
 
-    // 4. The pipelined service (double-buffered snapshot contexts).
-    {
-        let mut sink = MemorySink::new();
-        let engine = PipelinedRoundDynamics::with_rules(config, rules.clone());
-        let res = engine.run_with_sink(start, &mut sink);
-        traces.push(trace_from_records(
-            "service-pipelined",
-            &sink.records,
-            res.outcome,
-            &res.graph,
-        ));
-    }
-
-    // 5. A journaled service crash-truncated mid-run and resumed: the
+    // 4. A journaled service crash-truncated mid-run and resumed: the
     // spliced record stream (rounds safely on disk before the "crash" +
     // the resumed continuation) must match an uninterrupted run.
     {
         let path = temp_journal(rules.name());
         let mut sink = MemorySink::new();
-        let mut service = RoundService::with_rules(
-            start,
-            ServiceConfig {
-                rounds: config,
-                pipelined: false,
-            },
-            RepairStrategy::default(),
-            rules.clone(),
-        );
+        let mut service = RoundService::with_rules(start, config, rules.clone());
         service
             .attach_journal(
                 &path,
@@ -603,8 +572,7 @@ fn resume_trace<R: GameRules>(rules: &R, path: &Path, full_records: &[RoundRecor
     let partial = temp_journal("cut");
     std::fs::write(&partial, lines[..cut].join("\n") + "\n").expect("write journal prefix");
     let (mut resumed, report) =
-        RoundService::resume_with_rules(&partial, RepairStrategy::default(), rules.clone())
-            .expect("conformance resume");
+        RoundService::resume_with_rules(&partial, rules.clone()).expect("conformance resume");
     let k = report.midsession.unwrap_or(0);
     let mut sink = MemorySink::new();
     let cont = resumed.run_session(&mut sink);

@@ -1,33 +1,49 @@
 //! Deterministic fault-injection suite (requires `--features testkit`).
 //!
-//! Each test installs a [`FaultPlan`](bncg::testkit::faults::FaultPlan)
-//! and drives the round service through the injected failure: journal
-//! write errors must degrade the stream without stopping the dynamics, a
-//! kill between the journal commit and the matrix apply must leave a
-//! resumable journal whose continuation is byte-identical to the
-//! uninterrupted run, a panic inside a pool job must neither deadlock
-//! nor poison the worker pool, and injected row corruption must be
-//! detected by the divergence audit within its cadence and healed
-//! row-wise — no full-context rebuild.
+//! Each test drives the round service through an injected failure —
+//! most through a [`FaultPlan`](bncg::testkit::faults::FaultPlan):
+//! journal write errors must degrade the stream without stopping the
+//! dynamics, a kill between the journal commit and the matrix apply must
+//! leave a resumable journal whose continuation is byte-identical to the
+//! uninterrupted run, a panic inside a pool job (raised by a test-local
+//! rule set) must neither deadlock nor poison the worker pool, and
+//! injected row corruption must be detected by the divergence audit
+//! within its cadence and healed row-wise — no full-context rebuild.
 //!
 //! Fault plans are process-global (the pool threads must see them), so
 //! `with_plan` sections serialize; this binary is the dedicated home for
-//! them per the `bncg_testkit::faults` scope rules.
+//! them per the `bncg_testkit::faults` scope rules, and its tests run one
+//! at a time ([`serial`]) because runs outside a section still count
+//! hits against whatever plan is installed.
 
 #![cfg(feature = "testkit")]
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bncg::dynamics::rounds::RoundConfig;
 use bncg::dynamics::service::{AuditPolicy, JournalOptions, RoundService, ServiceConfig};
 use bncg::dynamics::sink::MemorySink;
+use bncg::game::context::EvalContext;
 use bncg::game::objective::{MaxObjective, SumObjective};
+use bncg::game::rules::GameRules;
+use bncg::game::swap::ScoredSwap;
 use bncg::graph::generators::random::{gnp, random_tree};
+use bncg::graph::V;
 use bncg::testkit::faults::{self, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Serializes this binary's tests. A plan counts hits from every thread,
+/// so a journaled run outside one test's `with_plan` section would
+/// consume the hits another test's plan is waiting for. The guarded
+/// value is `()`, so a guard poisoned by a failed test is still valid.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn temp_path(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -37,6 +53,7 @@ fn temp_path(tag: &str) -> PathBuf {
 
 #[test]
 fn journal_write_failure_degrades_the_stream_but_not_the_dynamics() {
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(0xFA01);
     let start = gnp(&mut rng, 20, 0.15);
     // Reference: the same start without a journal.
@@ -70,18 +87,16 @@ fn journal_write_failure_degrades_the_stream_but_not_the_dynamics() {
 
 #[test]
 fn a_kill_between_journal_commit_and_apply_resumes_byte_identically() {
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(0xFA02);
     let mut kills = 0usize;
-    for (i, pipelined) in [(0u64, false), (1, true), (2, false), (3, true)] {
+    for i in 0..4 {
         let start = if i % 2 == 0 {
-            gnp(&mut rng, 18 + i as usize, 0.16)
+            gnp(&mut rng, 18 + i, 0.16)
         } else {
-            random_tree(&mut rng, 18 + i as usize)
+            random_tree(&mut rng, 18 + i)
         };
-        let config = ServiceConfig {
-            rounds: RoundConfig::default(),
-            pipelined,
-        };
+        let config = ServiceConfig::default();
         // Uninterrupted reference run, journaled (journal contents aside,
         // journaling must not perturb the dynamics).
         let ref_path = temp_path("kill-ref");
@@ -155,49 +170,77 @@ fn a_kill_between_journal_commit_and_apply_resumes_byte_identically() {
     );
 }
 
+/// The sum game, except that agent `agent`'s first best-response query
+/// panics. Only `best_response` is overridden, so the default
+/// `best_responses_par` sweep fans it over the worker pool and the panic
+/// fires inside a pool job.
+#[derive(Clone)]
+struct PanicOnce {
+    agent: V,
+    armed: Arc<AtomicBool>,
+}
+
+impl GameRules for PanicOnce {
+    fn name(&self) -> &'static str {
+        "sum"
+    }
+
+    fn agent_cost(&self, ctx: &EvalContext, v: V) -> u64 {
+        SumObjective.agent_cost(ctx, v)
+    }
+
+    fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
+        if v == self.agent && self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected best-response panic");
+        }
+        SumObjective.best_response(ctx, v)
+    }
+
+    fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
+        SumObjective.first_improving_response(ctx, v)
+    }
+
+    fn social_cost(&self, ctx: &EvalContext) -> Option<u64> {
+        SumObjective.social_cost(ctx)
+    }
+}
+
 #[test]
 fn a_panicking_pool_job_neither_deadlocks_nor_poisons_the_pool() {
-    // Pick a start that takes several rounds to settle, so the first
-    // pipelined barrier (where the fault fires) is actually reached — a
-    // lucky already-at-equilibrium draw would never enter a pool job.
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(0xFA03);
-    let start = std::iter::from_fn(|| Some(random_tree(&mut rng, 22)))
-        .find(|s| {
-            RoundService::<SumObjective>::new(s, ServiceConfig::default())
-                .run_session_plain()
-                .result
-                .rounds
-                >= 3
-        })
-        .expect("some tree takes >= 3 rounds");
-    let config = ServiceConfig {
-        rounds: RoundConfig::default(),
-        pipelined: true,
+    let start = random_tree(&mut rng, 22);
+    let reference = RoundService::<SumObjective>::new(&start, ServiceConfig::default())
+        .run_session_plain()
+        .result;
+    let armed = Arc::new(AtomicBool::new(true));
+    let rules = PanicOnce {
+        agent: (start.n() / 2) as V,
+        armed: Arc::clone(&armed),
     };
-    let mut victim = RoundService::<SumObjective>::new(&start, config);
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        faults::with_plan(FaultPlan::new().fail_nth("service.pool.panic", 0), || {
-            victim.run_session_plain()
-        })
-    }));
+    let mut victim = RoundService::with_rules(&start, ServiceConfig::default(), rules.clone());
+    let attempt =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| victim.run_session_plain()));
     assert!(attempt.is_err(), "the injected panic must surface");
+    assert!(
+        !armed.load(Ordering::SeqCst),
+        "the panic fired exactly once"
+    );
     drop(victim); // a panicked service is dead; recovery is via resume
 
-    // The pool must come back healthy: a fresh pipelined service on the
-    // same pool finishes and matches the serial reference.
-    let serial = RoundService::<SumObjective>::new(&start, ServiceConfig::default())
+    // The pool must come back healthy: a fresh service on the same pool
+    // (same rules, now disarmed) finishes and matches the reference.
+    let again = RoundService::with_rules(&start, ServiceConfig::default(), rules)
         .run_session_plain()
         .result;
-    let again = RoundService::<SumObjective>::new(&start, config)
-        .run_session_plain()
-        .result;
-    assert_eq!(again.graph, serial.graph);
-    assert_eq!(again.outcome, serial.outcome);
-    assert_eq!(again.rounds, serial.rounds);
+    assert_eq!(again.graph, reference.graph);
+    assert_eq!(again.outcome, reference.outcome);
+    assert_eq!(again.rounds, reference.rounds);
 }
 
 #[test]
 fn injected_corruption_is_detected_within_the_audit_cadence_and_healed_row_wise() {
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(0xFA04);
     let start = gnp(&mut rng, 24, 0.15);
     let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
@@ -210,25 +253,19 @@ fn injected_corruption_is_detected_within_the_audit_cadence_and_healed_row_wise(
     let rebuilds_before = service.repair_totals().full_rebuilds;
 
     // Flip one maintained distance (a bit-flip / torn write stand-in).
-    service.corrupt_live_entry(0, (n - 1) as bncg::graph::V, 1);
-    assert!(!service.audit_degraded());
+    service.corrupt_live_entry(0, (n - 1) as V, 1);
     let healed = service.run_audit();
     assert!(healed >= 1, "the corrupted row must be rebuilt");
     let stats = service.audit_stats();
     assert_eq!(stats.checks, 1);
     assert!(stats.row_mismatches >= 1);
     assert_eq!(stats.heals, healed as u64);
-    assert!(
-        service.audit_degraded(),
-        "divergence quarantines the service"
-    );
 
     // The heal must be row-wise: no full-context rebuild anywhere.
     assert_eq!(service.repair_totals().full_rebuilds, rebuilds_before);
 
-    // A clean audit lifts the quarantine...
+    // The next audit passes clean...
     assert_eq!(service.run_audit(), 0);
-    assert!(!service.audit_degraded());
     // ...and the healed service keeps working exactly like a fresh one.
     let fresh = RoundService::<SumObjective>::new(service.graph(), ServiceConfig::default())
         .run_session_plain()
@@ -239,16 +276,14 @@ fn injected_corruption_is_detected_within_the_audit_cadence_and_healed_row_wise(
 }
 
 #[test]
-fn corruption_mid_run_degrades_pipelining_until_a_clean_audit_passes() {
+fn corruption_mid_run_is_detected_and_healed_in_run() {
+    let _serial = serial();
     let mut rng = StdRng::seed_from_u64(0xFA05);
     let start = gnp(&mut rng, 22, 0.16);
-    let config = ServiceConfig {
-        rounds: RoundConfig {
-            max_rounds: 6,
-            detect_cycles: false,
-            ..RoundConfig::default()
-        },
-        pipelined: true,
+    let config = RoundConfig {
+        max_rounds: 6,
+        detect_cycles: false,
+        ..RoundConfig::default()
     };
     let n = start.n();
     let mut service = RoundService::<SumObjective>::new(&start, config);
@@ -256,7 +291,7 @@ fn corruption_mid_run_degrades_pipelining_until_a_clean_audit_passes() {
         every_rounds: 1,
         stripe_rows: n,
     });
-    service.corrupt_live_entry(1, (n - 2) as bncg::graph::V, 1);
+    service.corrupt_live_entry(1, (n - 2) as V, 1);
     // The in-run audit detects the divergence after the first round and
     // heals it; the session finishes despite starting from a corrupted
     // matrix.
@@ -269,12 +304,6 @@ fn corruption_mid_run_degrades_pipelining_until_a_clean_audit_passes() {
     );
     assert!(stats.heals >= 1);
     assert!(!report.interrupted);
-    // Quarantine ends with a clean audit — by now either already lifted
-    // in-run or lifted by one more explicit check.
-    if service.audit_degraded() {
-        assert_eq!(service.run_audit(), 0);
-    }
-    assert!(!service.audit_degraded());
     // The maintained matrix is clean again: a final full-stripe audit
     // heals nothing.
     assert_eq!(service.run_audit(), 0);

@@ -11,25 +11,24 @@
 //!    a social-cost reading, or an outcome is a conformance failure. The
 //!    battery pins a deterministic 500+-step floor (2742 applied moves).
 //! 2. **Engine fan-out** — [`trace_engines`] runs one scenario through
-//!    the serial round engine, a hand-stepped `step_round` loop, the
-//!    round service (serial and pipelined), and a service resumed from a
-//!    crash-truncated journal, then asserts record-level equivalence of
-//!    the normalized traces. Deterministic batteries cover every shipped
-//!    rule set; proptest sweeps cover ER graphs and trees under both
-//!    objectives, both response rules, and both fallback-threshold
-//!    extremes.
+//!    the round engine, a hand-stepped `step_round` loop, the round
+//!    service, and a service resumed from a crash-truncated journal,
+//!    then asserts record-level equivalence of the normalized traces.
+//!    Deterministic batteries cover every shipped rule set; proptest
+//!    sweeps cover ER graphs and trees under both objectives, both
+//!    response rules, and both fallback-threshold extremes.
 
 use bncg::conformance::{
     golden_path, golden_scenarios, render_golden, trace_engines, ROUND_FAMILY_ENGINES,
 };
 use bncg::dynamics::engine::Response;
 use bncg::dynamics::rounds::{RoundConfig, RoundDynamics};
-use bncg::dynamics::service::{RoundService, ServiceConfig};
+use bncg::dynamics::service::RoundService;
 use bncg::dynamics::sink::MemorySink;
 use bncg::game::objective::{MaxObjective, SumObjective};
 use bncg::game::rules::{BoundedBudgetGame, GameRules, InterestGame, TwoNeighborhoodGame};
 use bncg::graph::generators::random::{gnp, random_tree};
-use bncg::graph::{Graph, RepairStrategy};
+use bncg::graph::Graph;
 use bncg::testkit::conformance::assert_equivalent;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -159,15 +158,7 @@ fn threshold_extremes<O: bncg::game::objective::Objective + GameRules + Default>
     let mut reference = MemorySink::new();
     let res = RoundDynamics::<O>::new(config).run_with_sink(start, &mut reference);
     for rows in [0, start.n() * start.n()] {
-        let mut service = RoundService::<O>::with_rules(
-            start,
-            ServiceConfig {
-                rounds: config,
-                pipelined: false,
-            },
-            RepairStrategy::default(),
-            O::default(),
-        );
+        let mut service = RoundService::<O>::new(start, config);
         service.set_max_repair_rows(rows);
         let mut sink = MemorySink::new();
         let report = service.run_session(&mut sink);

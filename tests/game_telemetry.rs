@@ -4,12 +4,11 @@
 //! [`TwoNeighborhoodGame`] reports `needs_apsp() == false`, and every
 //! engine gates its eager matrix builds, checkpoint CRCs, and resume
 //! verification on that flag — so a full run across the engine family
-//! (serial rounds, hand-stepped rounds, the service, the pipelined
-//! service, a journal resume) must never build, rebuild, or repair a
-//! distance matrix. Telemetry counters are process-global, so this
-//! assertion lives alone in its own test binary: the single `#[test]`
-//! below runs the whole sequence serially and owns the counters for the
-//! process lifetime.
+//! (serial rounds, hand-stepped rounds, the service, a journal resume)
+//! must never build, rebuild, or repair a distance matrix. Telemetry
+//! counters are process-global, so this assertion lives alone in its own
+//! test binary: the single `#[test]` below runs the whole sequence
+//! serially and owns the counters for the process lifetime.
 
 #![cfg(feature = "telemetry")]
 

@@ -10,14 +10,16 @@
 //! [`RoundRecord`] stream are identical to the uninterrupted run (modulo
 //! the wall-clock phase timings, which are never byte-stable). Torn
 //! tails (a crash mid-`write`) must be truncated, interior corruption
-//! must be refused, and resume must restart from the last checkpoint
-//! when one exists.
+//! and CRC-valid records naming impossible moves must be refused, and
+//! resume must restart from the last checkpoint when one exists. Warm
+//! sessions of one service are held to fresh engine runs the same way.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bncg::dynamics::engine::Response;
+use bncg::dynamics::engine::{Outcome, Response};
+use bncg::dynamics::recovery::JournalRecord;
 use bncg::dynamics::rounds::{RoundConfig, RoundDynamics};
 use bncg::dynamics::service::{JournalOptions, RoundService, ServiceConfig};
 use bncg::dynamics::sink::{MemorySink, RoundRecord};
@@ -26,7 +28,7 @@ use bncg::game::objective::{MaxObjective, Objective, SumObjective};
 use bncg::game::rules::GameRules;
 use bncg::game::swap::SwapMove;
 use bncg::graph::generators::random::{gnp, random_tree};
-use bncg::graph::Graph;
+use bncg::graph::{Graph, V};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,9 +45,12 @@ fn temp_path(tag: &str) -> PathBuf {
 /// Asserts two record streams are identical modulo the phase timings
 /// (wall-clock, process-global — never byte-stable) and the `last_*`
 /// repair gauges. The gauges describe the maintained matrix's *most
-/// recent* repair — a context rebuilt at resume (full build, or from a
-/// checkpoint) legitimately reports none where the uninterrupted run
-/// still shows its last batch. Every per-round counter stays strict.
+/// recent* repair — a lifetime gauge, not a per-round counter — so a
+/// context rebuilt at resume (full build, or from a checkpoint)
+/// legitimately reports none where the uninterrupted run still shows its
+/// last batch, and a warm session reports the previous session's last
+/// repair where a fresh engine reports none. Every per-round counter
+/// stays strict.
 fn assert_records_match(continued: &[RoundRecord], reference: &[RoundRecord], context: &str) {
     assert_eq!(
         continued.len(),
@@ -75,11 +80,7 @@ fn sweep_kills<O: Objective + GameRules + Default>(
     label: &str,
 ) -> usize {
     let path = temp_path("full");
-    let service_config = ServiceConfig {
-        rounds: config,
-        pipelined: false,
-    };
-    let mut service = RoundService::<O>::new(start, service_config);
+    let mut service = RoundService::<O>::new(start, config);
     service
         .attach_journal(
             &path,
@@ -160,6 +161,176 @@ fn kill_at_every_round_boundary_resumes_byte_identically() {
         verified >= 60,
         "crash-state volume floor not met: only {verified} prefixes verified"
     );
+}
+
+/// Writes `lines` to a fresh journal file with record `line` (1-based)
+/// rewritten by `edit` and its CRC resealed — content damage a CRC
+/// cannot see.
+fn reseal(lines: &[&str], line: usize, edit: impl FnOnce(&mut JournalRecord)) -> PathBuf {
+    let mut rec = JournalRecord::from_line(lines[line - 1]).expect("intact record");
+    edit(&mut rec);
+    let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+    out[line - 1] = rec.to_line();
+    let path = temp_path("resealed");
+    fs::write(&path, out.join("\n") + "\n").expect("write resealed journal");
+    path
+}
+
+#[test]
+fn resealed_impossible_moves_are_refused_as_corrupt() {
+    // One Round and one Perturb record at a time get a move the replayed
+    // graph cannot take — a vertex id out of range, a deleted edge that
+    // is not there, a self-loop, or (rounds only) two moves with
+    // overlapping footprints. Resume must name the record's line instead
+    // of panicking inside `Graph::apply_swap`.
+    let mut rng = StdRng::seed_from_u64(0xBAD2);
+    let start = random_tree(&mut rng, 20);
+    let n = start.n() as V;
+    let path = temp_path("badmove");
+    let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
+    service
+        .attach_journal(&path, JournalOptions::default())
+        .expect("journal");
+    let _ = service.run_session_plain();
+    let g = service.graph().clone();
+    let edge = *g.edge_vec().first().expect("non-empty graph");
+    let (v, w) = (edge.u, edge.v);
+    let w2 = (0..n)
+        .find(|&x| x != v && x != w && !g.has_edge(v, x))
+        .expect("a non-neighbor exists");
+    assert_eq!(service.perturb(&[SwapMove { v, w, w2 }]), 1);
+    let _ = service.run_session_plain();
+    drop(service);
+
+    let text = fs::read_to_string(&path).expect("read journal");
+    let lines: Vec<&str> = text.lines().collect();
+    let line_of = |kind: &str| {
+        1 + lines
+            .iter()
+            .position(|l| l.contains(&format!("\"t\":\"{kind}\"")))
+            .unwrap_or_else(|| panic!("the journal holds a {kind} record"))
+    };
+    type Breakage = fn(&mut SwapMove, V);
+    let breakages: [(&str, Breakage); 3] = [
+        ("vertex out of range", |mv, n| mv.w2 = n),
+        ("missing edge", |mv, _| mv.w = mv.v),
+        ("self-loop", |mv, _| mv.w2 = mv.v),
+    ];
+    for kind in ["round", "perturb"] {
+        let line = line_of(kind);
+        for (what, break_move) in breakages {
+            let bad = reseal(&lines, line, |rec| match rec {
+                JournalRecord::Round { moves, .. } | JournalRecord::Perturb { moves, .. } => {
+                    break_move(&mut moves[0], n)
+                }
+                other => panic!("line {line} is not a move record: {other:?}"),
+            });
+            match RoundService::<SumObjective>::resume(&bad) {
+                Err(RecoveryError::Corrupt { line: got, .. }) => {
+                    assert_eq!(got, line, "{kind} record, {what}")
+                }
+                Err(other) => panic!("{kind} record, {what}: expected Corrupt, got {other}"),
+                Ok(_) => panic!("{kind} record, {what}: an impossible move must be refused"),
+            }
+            fs::remove_file(&bad).ok();
+        }
+    }
+    let line = line_of("round");
+    let bad = reseal(&lines, line, |rec| {
+        if let JournalRecord::Round { moves, .. } = rec {
+            moves.push(moves[0]);
+        }
+    });
+    match RoundService::<SumObjective>::resume(&bad) {
+        Err(RecoveryError::Corrupt { line: got, .. }) => assert_eq!(got, line, "overlap"),
+        Err(other) => panic!("overlapping round: expected Corrupt, got {other}"),
+        Ok(_) => panic!("a round with overlapping footprints must be refused"),
+    }
+    fs::remove_file(&bad).ok();
+    fs::remove_file(&path).ok();
+}
+
+#[test]
+fn journals_with_a_pipelined_seed_still_resume() {
+    // Builds that could pipeline round barriers wrote `"pipelined":true`
+    // into the seed record. The key is read and ignored: resuming such a
+    // journal mid-session must continue exactly like the uninterrupted
+    // run, record for record.
+    let mut rng = StdRng::seed_from_u64(0x01D5);
+    let start = gnp(&mut rng, 22, 0.14);
+    let path = temp_path("pipelined-seed");
+    let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
+    service
+        .attach_journal(&path, JournalOptions::default())
+        .expect("journal");
+    let mut sink = MemorySink::new();
+    let full = service.run_session(&mut sink).result;
+    drop(service);
+
+    let text = fs::read_to_string(&path).expect("read journal");
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(
+        lines[0].contains("\"pipelined\":false"),
+        "seed: {}",
+        lines[0]
+    );
+    // Cut before the last round commit so resume lands inside the session.
+    let cut = lines
+        .iter()
+        .rposition(|l| l.contains("\"t\":\"round\""))
+        .expect("the run journaled a round");
+    let legacy = reseal(&lines[..cut], 1, |rec| match rec {
+        JournalRecord::Seed { pipelined, .. } => *pipelined = true,
+        other => panic!("line 1 is not the seed: {other:?}"),
+    });
+    let seed = fs::read_to_string(&legacy).expect("reread");
+    assert!(seed.starts_with("{\"crc\"") && seed.contains("\"pipelined\":true"));
+    let (mut resumed, report) =
+        RoundService::<SumObjective>::resume(&legacy).expect("pipelined seed resumes");
+    let k = report.midsession.expect("cut inside the session");
+    let mut continuation = MemorySink::new();
+    let cont = resumed.run_session(&mut continuation).result;
+    assert_eq!(cont.graph, full.graph);
+    assert_eq!(cont.outcome, full.outcome);
+    assert_records_match(&continuation.records, &sink.records[k..], "pipelined seed");
+    fs::remove_file(&path).ok();
+    fs::remove_file(&legacy).ok();
+}
+
+#[test]
+fn restartless_sessions_match_fresh_serial_runs_round_for_round() {
+    // The amortization claim, verified for correctness: continuing a warm
+    // service from a converged state must behave exactly like a fresh
+    // engine run from that state (one empty converged round), with no
+    // rebuild anywhere.
+    let mut rng = StdRng::seed_from_u64(0xA11C);
+    let start = random_tree(&mut rng, 24);
+    let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
+    let first = service.run_session_plain();
+    for session in 0..3 {
+        let state = service.graph().clone();
+        let mut service_sink = MemorySink::new();
+        let continued = service.run_session(&mut service_sink).result;
+        let mut fresh_sink = MemorySink::new();
+        let fresh = RoundDynamics::<SumObjective>::new(RoundConfig::default())
+            .run_with_sink(&state, &mut fresh_sink);
+        assert_eq!(continued.graph, fresh.graph, "session {session}");
+        assert_eq!(continued.outcome, fresh.outcome, "session {session}");
+        assert_eq!(continued.rounds, fresh.rounds, "session {session}");
+        assert_records_match(
+            &service_sink.records,
+            &fresh_sink.records,
+            &format!("session {session}"),
+        );
+    }
+    // One APSP build total: the first session's repair counters already
+    // include zero rebuilds, and later sessions add none.
+    assert_eq!(first.result.repair.full_rebuilds, 0);
+    assert_eq!(service.repair_totals().full_rebuilds, 0);
+    assert!(matches!(
+        first.result.outcome,
+        Outcome::Converged | Outcome::Cycled
+    ));
 }
 
 #[test]
