@@ -13,9 +13,9 @@
 
 use std::hint::black_box;
 
-use bncg_bench::workload::{record_trajectory, replay, tree_swap_pair};
+use bncg_bench::workload::{record_trajectory, replay};
 use bncg_graph::adjacency::SwapApplied;
-use bncg_graph::dynamic::{DynamicApsp, RepairStrategy};
+use bncg_graph::dynamic::DynamicApsp;
 use bncg_graph::generators::random::random_connected;
 use bncg_graph::DistanceMatrix;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -86,36 +86,5 @@ fn bench_trajectories(c: &mut Criterion) {
     group.finish();
 }
 
-/// Deletion-repair strategy comparison on random trees — the workload
-/// where deletions invalidate the most rows (every tree-edge deletion
-/// detaches a whole subtree from every source on the other side), so the
-/// walkers dominate and the level-bucketed kernel path has to earn its
-/// keep against the scalar reference. One forward + one inverse swap
-/// repair per iteration, state restored every time; the blend halves are
-/// identical between the arms, so the delta isolates the deletion side.
-fn bench_deletion_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental");
-    group.sample_size(10);
-    for &n in &[512usize, 2048] {
-        let mut rng = StdRng::seed_from_u64(0x7EE5 + n as u64);
-        let (csr0, csr1, fwd_rec, inv_rec) = tree_swap_pair(&mut rng, n);
-        for (label, strategy) in [
-            ("tree_deletion_repair_scalar", RepairStrategy::Scalar),
-            ("tree_deletion_repair_kernel", RepairStrategy::Kernel),
-        ] {
-            let mut da = DynamicApsp::build(&csr0);
-            da.set_repair_strategy(strategy);
-            group.bench_with_input(BenchmarkId::new(label, n), &(), |b, ()| {
-                b.iter(|| {
-                    da.apply_swap(&csr1, &fwd_rec);
-                    da.apply_swap(&csr0, &inv_rec);
-                    black_box(da.matrix().get(0, 1))
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_trajectories, bench_deletion_strategies);
+criterion_group!(benches, bench_trajectories);
 criterion_main!(benches);

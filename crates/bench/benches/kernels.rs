@@ -12,8 +12,6 @@
 //!   wide rows.
 //! * `blend_cost_ecc_u16` vs `blend_cost_ecc_u32_scalar` — the max
 //!   objective's counterpart.
-//! * `min_blend_u16` vs `min_blend_u32_scalar` — the in-place min-plus
-//!   blend (insertion repair).
 //! * `row_cost_u16` vs `row_cost_u32_scalar` — the plain sum+ecc row
 //!   reduction behind `agent_cost` and the maintained aggregates.
 //! * `fused_batch_blend_u16/k16` vs `replay_batch_blend_u16/k16` — one
@@ -27,8 +25,7 @@ use std::hint::black_box;
 
 use bncg_bench::baseline::{
     blend_cost_ecc_u32 as blend_cost_ecc_u32_scalar,
-    blend_cost_sum_u32 as blend_cost_sum_u32_scalar, min_blend_u32 as min_blend_u32_scalar,
-    row_cost_u32 as row_cost_u32_scalar,
+    blend_cost_sum_u32 as blend_cost_sum_u32_scalar, row_cost_u32 as row_cost_u32_scalar,
 };
 use bncg_graph::kernels::{self, BlendTerm, Dist};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -89,23 +86,6 @@ fn bench_row_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("row_cost_u32_scalar", n), &(), |b, ()| {
             b.iter(|| black_box(row_cost_u32_scalar(black_box(&base32))))
-        });
-
-        let mut buf16 = base.clone();
-        group.bench_with_input(BenchmarkId::new("min_blend_u16", n), &(), |b, ()| {
-            b.iter(|| {
-                buf16.copy_from_slice(&base);
-                kernels::min_blend(black_box(&mut buf16), black_box(&via));
-                black_box(buf16[0])
-            })
-        });
-        let mut buf32 = base32.clone();
-        group.bench_with_input(BenchmarkId::new("min_blend_u32_scalar", n), &(), |b, ()| {
-            b.iter(|| {
-                buf32.copy_from_slice(&base32);
-                min_blend_u32_scalar(black_box(&mut buf32), black_box(&via32));
-                black_box(buf32[0])
-            })
         });
     }
     group.finish();

@@ -16,11 +16,11 @@
 
 use std::hint::black_box;
 
-use bncg_bench::workload::{replay_round_stream, replay_round_stream_with, synth_round_stream};
+use bncg_bench::workload::{replay_round_stream, synth_round_stream};
 use bncg_core::objective::SumObjective;
 use bncg_dynamics::engine::{DynamicsConfig, SwapDynamics};
 use bncg_dynamics::rounds::{RoundConfig, RoundDynamics};
-use bncg_graph::dynamic::{masked_apsp_from_base, RepairStrategy};
+use bncg_graph::dynamic::masked_apsp_from_base;
 use bncg_graph::generators::random::random_connected;
 use bncg_graph::DistanceMatrix;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -62,27 +62,6 @@ fn bench_round_replay(c: &mut Criterion) {
                 &(&g0, &stream),
                 |b, (g0, stream)| b.iter(|| black_box(replay_round_stream(g0, stream, true))),
             );
-            if family == "tree" {
-                // The tree family is where the deletion walkers dominate
-                // the barrier repair; this arm re-runs the batched replay
-                // with the scalar reference walkers, so the delta to
-                // `round_replay_batched_tree` is the end-to-end win of
-                // the kernelized deletion repair.
-                group.bench_with_input(
-                    BenchmarkId::new("round_replay_batched_tree_scalar_repair", n),
-                    &(&g0, &stream),
-                    |b, (g0, stream)| {
-                        b.iter(|| {
-                            black_box(replay_round_stream_with(
-                                g0,
-                                stream,
-                                true,
-                                RepairStrategy::Scalar,
-                            ))
-                        })
-                    },
-                );
-            }
         }
 
         let g0 = random_connected(&mut rng, n, n / 4);

@@ -15,10 +15,8 @@ pub mod workload {
     use bncg_core::context::EvalContext;
     use bncg_core::objective::SumObjective;
     use bncg_core::swap::SwapMove;
-    use bncg_graph::adjacency::{Edge, SwapApplied};
-    use bncg_graph::dynamic::RepairStrategy;
-    use bncg_graph::generators::random::random_tree;
-    use bncg_graph::{Csr, Graph};
+    use bncg_graph::adjacency::Edge;
+    use bncg_graph::Graph;
     use rand::Rng;
 
     /// Records up to `k` improving round-robin best-response moves from
@@ -64,36 +62,6 @@ pub mod workload {
             acc ^= ctx.base().get(0, last);
         }
         acc
-    }
-
-    /// The deletion-repair microworkload shared by
-    /// `benches/incremental.rs` and the repair-strategy CI gate: a random
-    /// tree on `n` vertices plus one proper swap and its inverse, as the
-    /// `(pre-swap CSR, post-swap CSR, forward record, inverse record)`
-    /// quadruple a maintained matrix can replay forever. Trees are the
-    /// workload where deletions invalidate the most rows — every
-    /// tree-edge deletion detaches a whole subtree from every source on
-    /// the far side — so this isolates the deletion walkers.
-    pub fn tree_swap_pair<R: Rng>(rng: &mut R, n: usize) -> (Csr, Csr, SwapApplied, SwapApplied) {
-        let g0 = random_tree(rng, n);
-        let edges = g0.edge_vec();
-        let (v, w, w2) = loop {
-            let e = edges[rng.gen_range(0..edges.len())];
-            let (v, w) = if rng.gen_bool(0.5) {
-                (e.u, e.v)
-            } else {
-                (e.v, e.u)
-            };
-            let w2 = rng.gen_range(0..g0.n() as u32);
-            if w2 != v && w2 != w && !g0.has_edge(v, w2) {
-                break (v, w, w2);
-            }
-        };
-        let mut g1 = g0.clone();
-        let fwd = g1.apply_swap(v, w, w2);
-        debug_assert!(matches!(fwd, SwapApplied::Swapped { .. }));
-        let inv = SwapApplied::Swapped { v, w: w2, w2: w };
-        (g0.to_csr(), g1.to_csr(), fwd, inv)
     }
 
     /// Synthesizes one activation **round**: up to `k` proper swaps with
@@ -194,21 +162,8 @@ pub mod workload {
     /// way — that is pinned by `tests/round_dynamics_props.rs` — so the
     /// timing difference isolates the batching itself.
     pub fn replay_round_stream(g0: &Graph, stream: &[Vec<SwapMove>], batched: bool) -> u32 {
-        replay_round_stream_with(g0, stream, batched, RepairStrategy::default())
-    }
-
-    /// [`replay_round_stream`] with an explicit deletion-repair strategy —
-    /// the switch the repair-strategy benchmarks and CI gate flip while
-    /// keeping every other part of the workload identical.
-    pub fn replay_round_stream_with(
-        g0: &Graph,
-        stream: &[Vec<SwapMove>],
-        batched: bool,
-        strategy: RepairStrategy,
-    ) -> u32 {
         let mut g = g0.clone();
         let mut ctx = EvalContext::new(&g);
-        ctx.set_repair_strategy(strategy);
         let last = (g.n() - 1) as u32;
         let mut acc = ctx.base().get(0, last); // initial build, paid by both arms
         for round in stream {
@@ -312,13 +267,6 @@ pub mod baseline {
         }
         (sum, m)
     }
-
-    /// The old in-place one-sided min-plus blend.
-    pub fn min_blend_u32(base: &mut [u32], via: &[u32]) {
-        for (b, &v) in base.iter_mut().zip(via) {
-            *b = (*b).min(v.saturating_add(1));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +280,7 @@ mod perf_gate {
 
     use crate::workload::{
         record_trajectory, replay, replay_round_stream, replay_round_stream_rules,
-        synth_round_stream, tree_swap_pair,
+        synth_round_stream,
     };
 
     fn best_of(reps: usize, mut f: impl FnMut() -> u32) -> Duration {
@@ -417,65 +365,6 @@ mod perf_gate {
         assert!(
             batched < sequential,
             "batch repair regressed: batched {batched:?} vs sequential {sequential:?}"
-        );
-    }
-
-    /// Deletion-repair strategy gate: the level-bucketed kernel walkers
-    /// (`RepairStrategy::Kernel`, the default) must beat the scalar
-    /// reference walkers at n = 2048 on random trees — the workload where
-    /// deletions invalidate the most rows (every tree-edge deletion
-    /// detaches a whole subtree from every source across it), so the
-    /// deletion side dominates the repair cycle. Each rep replays the same
-    /// forward + inverse swap pair (blend halves identical between arms);
-    /// arms are measured in interleaved best-of-8 pairs like the
-    /// round-batch gate (with extra rounds, since the measured margin —
-    /// ~7% at recording time — is thinner), so a spurious failure would
-    /// need noise to inflate every kernel rep while sparing some
-    /// adjacent scalar rep across all eight windows.
-    #[test]
-    #[ignore = "perf gate — run by the CI bench-smoke job (release only)"]
-    fn kernel_deletion_repair_beats_scalar_on_trees() {
-        use bncg_graph::dynamic::{DynamicApsp, RepairStrategy};
-
-        let n = 2048;
-        let mut rng = StdRng::seed_from_u64(0x7EE5);
-        let (csr0, csr1, fwd, inv) = tree_swap_pair(&mut rng, n);
-        let mut scalar = DynamicApsp::build(&csr0);
-        scalar.set_repair_strategy(RepairStrategy::Scalar);
-        let mut kernel = DynamicApsp::build(&csr0);
-        kernel.set_repair_strategy(RepairStrategy::Kernel);
-        let pair = |da: &mut DynamicApsp| {
-            da.apply_swap(&csr1, &fwd);
-            da.apply_swap(&csr0, &inv);
-            da.matrix().get(0, 1)
-        };
-        // Warm both arms (pools, lazy allocations) and prove byte
-        // identity before the timings mean anything.
-        black_box(pair(&mut scalar));
-        black_box(pair(&mut kernel));
-        assert_eq!(
-            scalar.matrix(),
-            kernel.matrix(),
-            "strategies must agree before their timings mean anything"
-        );
-        const REPS: usize = 8;
-        let mut scalar_t = Duration::MAX;
-        let mut kernel_t = Duration::MAX;
-        for _ in 0..8 {
-            let t = Instant::now();
-            for _ in 0..REPS {
-                black_box(pair(&mut scalar));
-            }
-            scalar_t = scalar_t.min(t.elapsed());
-            let t = Instant::now();
-            for _ in 0..REPS {
-                black_box(pair(&mut kernel));
-            }
-            kernel_t = kernel_t.min(t.elapsed());
-        }
-        assert!(
-            kernel_t < scalar_t,
-            "kernelized deletion repair regressed: kernel {kernel_t:?} vs scalar {scalar_t:?}"
         );
     }
 

@@ -54,7 +54,6 @@ pub struct EvalContext {
     csr: Csr,
     base: OnceLock<DynamicApsp>,
     max_repair_rows: Option<usize>,
-    repair_strategy: Option<RepairStrategy>,
 }
 
 impl EvalContext {
@@ -69,7 +68,6 @@ impl EvalContext {
             csr,
             base: OnceLock::new(),
             max_repair_rows: None,
-            repair_strategy: None,
         }
     }
 
@@ -165,18 +163,10 @@ impl EvalContext {
         }
     }
 
-    /// Selects the deletion-repair implementation of the dynamic-distance
-    /// subsystem ([`RepairStrategy::Kernel`] — the level-bucketed batched
-    /// walkers — by default); applies to the current cached matrix and any
-    /// built later. Both strategies are byte-identical, so this is purely
-    /// a performance lever (and the benchmark switch the repair gates
-    /// flip).
-    pub fn set_repair_strategy(&mut self, strategy: RepairStrategy) {
-        self.repair_strategy = Some(strategy);
-        if let Some(dyn_apsp) = self.base.get_mut() {
-            dyn_apsp.set_repair_strategy(strategy);
-        }
-    }
+    /// Does nothing: the dynamic-distance subsystem has one deletion-repair
+    /// implementation, and [`RepairStrategy`] has one variant. Kept for
+    /// callers that still name it.
+    pub fn set_repair_strategy(&mut self, _strategy: RepairStrategy) {}
 
     /// Update counters of the dynamic-distance subsystem, when a base
     /// matrix is currently cached.
@@ -222,9 +212,6 @@ impl EvalContext {
                 if let Some(rows) = self.max_repair_rows {
                     dyn_apsp.set_max_repair_rows(rows);
                 }
-                if let Some(strategy) = self.repair_strategy {
-                    dyn_apsp.set_repair_strategy(strategy);
-                }
                 dyn_apsp
             })
             .matrix()
@@ -241,9 +228,6 @@ impl EvalContext {
             let mut dyn_apsp = DynamicApsp::try_build(&self.csr)?;
             if let Some(rows) = self.max_repair_rows {
                 dyn_apsp.set_max_repair_rows(rows);
-            }
-            if let Some(strategy) = self.repair_strategy {
-                dyn_apsp.set_repair_strategy(strategy);
             }
             // A concurrent base() may have won the race; either value is
             // the same deterministic build, so the loser is just dropped.

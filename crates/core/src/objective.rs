@@ -7,7 +7,7 @@
 //!
 //! Rows are **compact** ([`Dist`] = `u16`) and every reduction routes
 //! through the vectorized kernel layer (`bncg_graph::kernels`): one
-//! SIMD/SWAR pass per row instead of a branchy per-element scan. The
+//! SIMD pass per row instead of a branchy per-element scan. The
 //! kernels encode "some vertex unreachable" as `u64::MAX`, which *is*
 //! [`INFINITE_COST`], so the sentinel needs no translation. Agents whose
 //! rows live in a maintained [`DynamicApsp`] are cheaper still: the

@@ -50,17 +50,14 @@
 //! which is what lets `EdgeSwapScan` in `bncg_core` skip its `n` masked
 //! BFS runs per scanned edge.
 //!
-//! The deletion-repair inner loops come in **two strategies**
-//! ([`RepairStrategy`], selectable per instance): the scalar reference
-//! walkers, and the default *kernelized* walkers that gather each
-//! frontier's candidate neighborhoods into contiguous scratch buffers and
-//! route the reductions — stage A's alternate-parent test
+//! The deletion-repair walkers are *kernelized*: each candidate's
+//! neighborhood is walked once and gathered into contiguous scratch
+//! buffers, and the reductions — stage A's alternate-parent test
 //! ([`kernels::gather_min_plus`]) and phase 2's boundary relaxation
 //! ([`kernels::frontier_relax`], one fused pass over every affected
-//! vertex's stored boundary segment) — through the SIMD row-kernel layer.
-//! Both strategies are byte-identical on every input; the property tests
-//! in `tests/dynamic_apsp_props.rs` sweep them against each other and
-//! against full rebuilds.
+//! vertex's stored boundary segment) — run through the SIMD row-kernel
+//! layer. The property tests in `tests/dynamic_apsp_props.rs` sweep them
+//! against full BFS rebuilds.
 //!
 //! A deletion needing repairs on more rows than
 //! [`DynamicApsp::max_repair_rows`] falls back to a full parallel rebuild
@@ -124,30 +121,11 @@ fn with_repair_scratch<R>(n: usize, f: impl FnOnce(&mut RepairScratch) -> R) -> 
     result
 }
 
-/// Which implementation services the deletion-repair walkers.
-///
-/// Both strategies are **byte-identical** on every input — the property
-/// tests in `tests/dynamic_apsp_props.rs` sweep them against each other
-/// and against full rebuilds — so the choice is purely a performance
-/// lever:
-///
-/// * [`Scalar`](Self::Scalar) — the reference walkers: phase 1 chases the
-///   CSR one neighbor at a time (`any`-style tight-parent probes, a
-///   separate child scan), phase 2 re-walks each affected vertex's
-///   neighborhood to seed the boundary Dijkstra. Kept as the executable
-///   spec the batched path is pinned to.
-/// * [`Kernel`](Self::Kernel) — level-bucketed frontier batching through
-///   the row kernels ([`kernels::gather_min_plus`] /
-///   [`kernels::frontier_relax`]): each frontier level's candidate
-///   neighborhoods are gathered once into contiguous scratch buffers, the
-///   phase-1 tight-parent verdicts for the whole bucket come from one
-///   fused segmented min-plus reduction, and phase 2 seeds from the
-///   *stored* gather segments (filtered by the final affected marks)
-///   instead of re-walking the CSR. The default.
+/// The deletion-repair implementation: one variant, so it selects
+/// nothing. Kept for callers that name it (`EvalContext::set_repair_strategy`
+/// in `bncg_core`, a no-op).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RepairStrategy {
-    /// Scalar reference walkers (the executable spec).
-    Scalar,
     /// Level-bucketed frontier batching through the SIMD row kernels.
     #[default]
     Kernel,
@@ -313,7 +291,6 @@ pub struct DynamicApsp {
     dm: DistanceMatrix,
     n: usize,
     max_repair_rows: usize,
-    strategy: RepairStrategy,
     stats: RepairStats,
     /// Per-source repair root from stage A (`V::MAX` = row unchanged).
     roots: Vec<V>,
@@ -362,7 +339,6 @@ impl DynamicApsp {
             dm,
             n,
             max_repair_rows: n.max(1),
-            strategy: RepairStrategy::default(),
             stats: RepairStats::default(),
             roots: Vec::new(),
             row_x: Vec::new(),
@@ -530,20 +506,6 @@ impl DynamicApsp {
         self.max_repair_rows = rows;
     }
 
-    /// Which deletion-repair implementation this instance uses
-    /// ([`RepairStrategy::Kernel`] by default).
-    #[inline]
-    pub fn repair_strategy(&self) -> RepairStrategy {
-        self.strategy
-    }
-
-    /// Selects the deletion-repair implementation. Both strategies produce
-    /// byte-identical matrices; [`RepairStrategy::Scalar`] is the
-    /// reference the batched path is property-tested against.
-    pub fn set_repair_strategy(&mut self, strategy: RepairStrategy) {
-        self.strategy = strategy;
-    }
-
     /// Applies the outcome of [`Graph::apply_swap`](crate::Graph::apply_swap)
     /// to the matrix. `csr` must be the snapshot of the graph **after** the
     /// move (the state the record was produced by).
@@ -701,16 +663,8 @@ impl DynamicApsp {
         // the contiguous rows of u and w (d(s,u) = d(u,s) by symmetry);
         // the alternate-parent filter then touches only tight rows.
         let t0 = telemetry::stamp();
-        let candidates = collect_repair_roots(
-            csr,
-            mask,
-            &self.mask_touch,
-            &self.dm,
-            u,
-            w,
-            &mut self.roots,
-            self.strategy,
-        );
+        let candidates =
+            collect_repair_roots(csr, mask, &self.mask_touch, &self.dm, u, w, &mut self.roots);
         telemetry::histogram!("apsp.stage_a_ns").record_span(t0, telemetry::stamp());
         self.stats.last_repair_candidates = candidates;
 
@@ -741,7 +695,6 @@ impl DynamicApsp {
             self.dm.data_mut(),
             n,
             candidates,
-            self.strategy,
             apsp_phase_hists(),
         );
         self.refresh_costs_marked(candidates);
@@ -812,13 +765,9 @@ impl DynamicApsp {
         // non-empty affected set (the exact measure, unlike candidates).
         let roots = &self.roots;
         let touch = &self.mask_touch;
-        let strategy = self.strategy;
         let ph = apsp_phase_hists();
-        let repair_one = |scratch: &mut RepairScratch, row: &mut [Dist]| match strategy {
-            RepairStrategy::Scalar => repair_row_batch(scratch, csr, mask, touch, deleted, row, ph),
-            RepairStrategy::Kernel => {
-                repair_row_kernel_batch(scratch, csr, mask, touch, deleted, row, ph)
-            }
+        let repair_one = |scratch: &mut RepairScratch, row: &mut [Dist]| {
+            repair_row_kernel_batch(scratch, csr, mask, touch, deleted, row, ph)
         };
         let d = self.dm.data_mut();
         let repaired = if n < PAR_REPAIR_MIN_N || candidates < PAR_REPAIR_MIN_ROWS {
@@ -1013,11 +962,8 @@ pub fn masked_apsp_from_base(csr: &Csr, base: &DistanceMatrix, edge: (V, V)) -> 
 
     // The exact stage-A filters + stage-B dispatch of the maintained
     // matrix's deletion update, shared so the scan path can never diverge.
-    // Scans always take the default (kernel) strategy — the property tests
-    // pin it byte-identical to `build_masked` either way.
-    let strategy = RepairStrategy::default();
     let mut roots: Vec<V> = Vec::new();
-    let candidates = collect_repair_roots(csr, &mask, touch, base, u, w, &mut roots, strategy);
+    let candidates = collect_repair_roots(csr, &mask, touch, base, u, w, &mut roots);
     telemetry::histogram!("scan.stage_a_ns").record_span(t1, telemetry::stamp());
     if candidates == 0 {
         return dm;
@@ -1031,7 +977,6 @@ pub fn masked_apsp_from_base(csr: &Csr, base: &DistanceMatrix, edge: (V, V)) -> 
         dm.data_mut(),
         n,
         candidates,
-        strategy,
         scan_phase_hists(),
     );
     dm
@@ -1043,13 +988,13 @@ pub fn masked_apsp_from_base(csr: &Csr, base: &DistanceMatrix, edge: (V, V)) -> 
 /// tight/alternate-parent filters) and returns the candidate count. `dm`
 /// is the pre-deletion matrix the rows are read from.
 ///
-/// Under [`RepairStrategy::Kernel`] the alternate-parent probe runs as a
-/// [`kernels::gather_min_plus`] reduction over the two endpoints'
-/// mask-filtered neighbor lists, collected **once** and reused across all
-/// `n` sources (an alternate parent exists from `s` iff the gathered
-/// minimum plus one equals the far endpoint's level). The scalar strategy
-/// keeps the original early-exit `any` probe as the reference.
-#[allow(clippy::too_many_arguments)]
+/// A row is marked exactly when the far endpoint (the one on the deeper
+/// level) loses its last parent, which is exactly when the row changes.
+/// The alternate-parent probe runs as a [`kernels::gather_min_plus`]
+/// reduction over the two endpoints' mask-filtered neighbor lists,
+/// collected **once** and reused across all `n` sources (an alternate
+/// parent exists from `s` iff the gathered minimum plus one equals the far
+/// endpoint's level).
 fn collect_repair_roots(
     csr: &Csr,
     mask: &[(V, V)],
@@ -1058,49 +1003,36 @@ fn collect_repair_roots(
     u: V,
     w: V,
     roots: &mut Vec<V>,
-    strategy: RepairStrategy,
 ) -> usize {
     let n = dm.n();
     roots.clear();
     roots.resize(n, V::MAX);
     let ru = dm.row(u);
     let rw = dm.row(w);
+    let nbrs_u: Vec<V> = masked_neighbors(csr, u, mask, touch).collect();
+    let nbrs_w: Vec<V> = masked_neighbors(csr, w, mask, touch).collect();
     let mut count = 0usize;
-    match strategy {
-        RepairStrategy::Scalar => {
-            for s in 0..n {
-                if ru[s] != rw[s] {
-                    if let Some(far) = repair_root(csr, mask, touch, dm.row(s as V), u, w) {
-                        roots[s] = far;
-                        count += 1;
-                    }
-                }
-            }
+    for s in 0..n {
+        let du = ru[s];
+        let dw = rw[s];
+        if du == dw {
+            // Equal levels (or both unreachable): the edge lies on no
+            // shortest path from this source.
+            continue;
         }
-        RepairStrategy::Kernel => {
-            let nbrs_u: Vec<V> = masked_neighbors(csr, u, mask, touch).collect();
-            let nbrs_w: Vec<V> = masked_neighbors(csr, w, mask, touch).collect();
-            for s in 0..n {
-                let du = ru[s];
-                let dw = rw[s];
-                if du == dw {
-                    continue;
-                }
-                debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
-                let (far, far_nbrs, far_lvl) = if dw > du {
-                    (w, &nbrs_w, dw)
-                } else {
-                    (u, &nbrs_u, du)
-                };
-                // Every neighbor sits on level far_lvl − 1, far_lvl, or
-                // far_lvl + 1, so min + 1 == far_lvl exactly when an
-                // alternate parent survives on the level below.
-                let (min_plus, _) = kernels::gather_min_plus(dm.row(s as V), far_nbrs);
-                if min_plus != far_lvl {
-                    roots[s] = far;
-                    count += 1;
-                }
-            }
+        debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
+        let (far, far_nbrs, far_lvl) = if dw > du {
+            (w, &nbrs_w, dw)
+        } else {
+            (u, &nbrs_u, du)
+        };
+        // Every neighbor sits on level far_lvl − 1, far_lvl, or
+        // far_lvl + 1, so min + 1 == far_lvl exactly when an
+        // alternate parent survives on the level below.
+        let (min_plus, _) = kernels::gather_min_plus(dm.row(s as V), far_nbrs);
+        if min_plus != far_lvl {
+            roots[s] = far;
+            count += 1;
         }
     }
     count
@@ -1120,12 +1052,10 @@ fn repair_marked_rows(
     d: &mut [Dist],
     n: usize,
     candidates: usize,
-    strategy: RepairStrategy,
     ph: &'static PhaseHists,
 ) {
-    let repair_one = |scratch: &mut RepairScratch, row: &mut [Dist], far: V| match strategy {
-        RepairStrategy::Scalar => repair_row(scratch, csr, mask, touch, row, far, ph),
-        RepairStrategy::Kernel => repair_row_kernel_single(scratch, csr, mask, touch, row, far, ph),
+    let repair_one = |scratch: &mut RepairScratch, row: &mut [Dist], far: V| {
+        repair_row_kernel_single(scratch, csr, mask, touch, row, far, ph)
     };
     if n < PAR_REPAIR_MIN_N || candidates < PAR_REPAIR_MIN_ROWS {
         with_repair_scratch(n, |scratch| {
@@ -1181,196 +1111,9 @@ fn fill_mask_touch(touch: &mut Vec<bool>, n: usize, mask: &[(V, V)]) {
     }
 }
 
-/// Stage-A filter for one source row: `None` when the row is provably
-/// unchanged by deleting `uw`, otherwise the endpoint the repair must start
-/// from. `row` holds the pre-deletion distances from the source; `csr` is
-/// the post-deletion snapshot.
-fn repair_root(csr: &Csr, mask: &[(V, V)], touch: &[bool], row: &[Dist], u: V, w: V) -> Option<V> {
-    let du = row[u as usize];
-    let dw = row[w as usize];
-    if du == dw {
-        // Equal levels (or both unreachable): the edge lies on no shortest
-        // path from this source.
-        return None;
-    }
-    debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
-    let far = if dw > du { w } else { u };
-    let parent_level = du.min(dw);
-    if masked_neighbors(csr, far, mask, touch).any(|z| row[z as usize] == parent_level) {
-        // An alternate parent keeps every shortest-path tree intact.
-        return None;
-    }
-    Some(far)
-}
-
-/// Ramalingam–Reps truncated repair of one source row after deleting the
-/// edge below `far` (which stage A proved has no alternate parent).
-///
-/// Phase 1 collects the exactly-affected set — vertices whose *every*
-/// shortest path from the source used the deleted edge — by walking level
-/// tree children (`d(t) = d(a) + 1`) and keeping those without an
-/// unaffected parent. Phase 2 re-settles the set with a bucketed
-/// multi-source Dijkstra seeded from each member's unaffected neighbors;
-/// members never settled are unreachable in the new graph.
-fn repair_row(
-    scratch: &mut RepairScratch,
-    csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
-    row: &mut [Dist],
-    far: V,
-    ph: &PhaseHists,
-) {
-    let t0 = telemetry::stamp();
-    scratch.begin();
-
-    // Phase 1: affected set, discovered in non-decreasing level order (the
-    // FIFO queue guarantees every level-L verdict is final before any
-    // level-L+1 candidate is examined).
-    scratch.queue.clear();
-    scratch.mark_affected(far);
-    scratch.queue.push(far);
-    let mut head = 0;
-    while head < scratch.queue.len() {
-        let a = scratch.queue[head];
-        head += 1;
-        let da = row[a as usize];
-        for t in masked_neighbors(csr, a, mask, touch) {
-            if row[t as usize] == da + 1 && !scratch.is_affected(t) {
-                let has_intact_parent = masked_neighbors(csr, t, mask, touch)
-                    .any(|z| row[z as usize] == da && !scratch.is_affected(z));
-                if !has_intact_parent {
-                    scratch.mark_affected(t);
-                    scratch.queue.push(t);
-                }
-            }
-        }
-    }
-
-    let t1 = telemetry::stamp();
-    ph.phase1.record_span(t0, t1);
-    settle_affected(scratch, csr, mask, touch, row);
-    ph.phase2.record_span(t1, telemetry::stamp());
-}
-
-/// Multi-deletion phase 1 + repair of one source row: every edge in
-/// `deleted` leaves the graph at once. Far endpoints of tight deleted
-/// edges seed a *level-bucketed* candidate queue (a FIFO no longer
-/// suffices — seeds sit at arbitrary levels), and candidates are
-/// verdict-checked strictly in non-decreasing level order, so every
-/// level-`L−1` affected mark is final before any level-`L` candidate is
-/// examined; this is exactly the invariant the single-edge FIFO walk
-/// provides for free. Returns whether the row changed at all.
-///
-/// `csr` must already lack every edge in `deleted`; `mask` hides the
-/// batch's not-yet-blended insertions from the scans.
-fn repair_row_batch(
-    scratch: &mut RepairScratch,
-    csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
-    deleted: &[(V, V)],
-    row: &mut [Dist],
-    ph: &PhaseHists,
-) -> bool {
-    let t0 = telemetry::stamp();
-    scratch.begin();
-    scratch.queue.clear();
-
-    // Seed: the far endpoint of every deleted edge that was tight from
-    // this source is a candidate at its own BFS level.
-    let mut lvl = usize::MAX;
-    let mut max_lvl = 0usize;
-    for &(u, w) in deleted {
-        let du = row[u as usize];
-        let dw = row[w as usize];
-        if du == dw {
-            continue; // not tight (or both endpoints unreachable)
-        }
-        debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
-        let (far, far_lvl) = if dw > du { (w, dw) } else { (u, du) };
-        scratch.buckets[far_lvl as usize].push(far);
-        lvl = lvl.min(far_lvl as usize);
-        max_lvl = max_lvl.max(far_lvl as usize);
-    }
-    if lvl == usize::MAX {
-        ph.phase1.record_span(t0, telemetry::stamp());
-        return false;
-    }
-
-    // Phase 1: pop candidates level by level. A candidate is affected iff
-    // it has no *unaffected* parent on the level below — and unlike the
-    // single-edge case that parent may itself have lost all its paths to
-    // another deleted edge, which is why seeds cannot be verdict-checked
-    // statically up front.
-    while lvl <= max_lvl {
-        while let Some(t) = scratch.buckets[lvl].pop() {
-            if scratch.is_affected(t) {
-                continue;
-            }
-            debug_assert_eq!(row[t as usize] as usize, lvl);
-            let parent_level = (lvl - 1) as Dist;
-            if masked_neighbors(csr, t, mask, touch)
-                .any(|z| row[z as usize] == parent_level && !scratch.is_affected(z))
-            {
-                continue;
-            }
-            scratch.mark_affected(t);
-            scratch.queue.push(t);
-            let child_level = lvl as Dist + 1;
-            for nb in masked_neighbors(csr, t, mask, touch) {
-                if row[nb as usize] == child_level && !scratch.is_affected(nb) {
-                    scratch.buckets[child_level as usize].push(nb);
-                    max_lvl = max_lvl.max(child_level as usize);
-                }
-            }
-        }
-        lvl += 1;
-    }
-    let t1 = telemetry::stamp();
-    ph.phase1.record_span(t0, t1);
-    if scratch.queue.is_empty() {
-        return false;
-    }
-    settle_affected(scratch, csr, mask, touch, row);
-    ph.phase2.record_span(t1, telemetry::stamp());
-    true
-}
-
-/// Phase 2 of the scalar strategy: seed each affected vertex (in
-/// `scratch.queue`) from its unaffected boundary — whose distances are
-/// final — by re-walking its masked neighborhood, then settle and write
-/// back through the shared tail.
-fn settle_affected(
-    scratch: &mut RepairScratch,
-    csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
-    row: &mut [Dist],
-) {
-    let mut max_bucket = 0usize;
-    for i in 0..scratch.queue.len() {
-        let a = scratch.queue[i];
-        let mut best = UNREACHABLE_D;
-        for z in masked_neighbors(csr, a, mask, touch) {
-            if !scratch.is_affected(z) {
-                best = best.min(row[z as usize].saturating_add(1));
-            }
-        }
-        scratch.cand[a as usize] = best;
-        if best != UNREACHABLE_D {
-            let b = best as usize;
-            scratch.buckets[b].push(a);
-            max_bucket = max_bucket.max(b);
-        }
-    }
-    settle_buckets(scratch, csr, mask, touch, row, max_bucket);
-    write_unsettled_unreachable(scratch, row);
-}
-
-/// Bucketed multi-source Dijkstra over the affected set, shared by both
-/// repair strategies: pops candidates in distance order, finalizes each at
-/// its current candidate value, and relaxes affected unsettled neighbors.
+/// Bucketed multi-source Dijkstra over the affected set (phase 2's
+/// settle): pops candidates in distance order, finalizes each at its
+/// current candidate value, and relaxes affected unsettled neighbors.
 fn settle_buckets(
     scratch: &mut RepairScratch,
     csr: &Csr,
@@ -1414,26 +1157,25 @@ fn write_unsettled_unreachable(scratch: &RepairScratch, row: &mut [Dist]) {
     }
 }
 
-/// Kernel-strategy repair of one source row for a **single** deletion:
-/// the frontier walk batching its row reads through the kernel layer,
-/// running on the same FIFO discipline as the scalar [`repair_row`] (one
-/// seed means FIFO order *is* level order, so no bucket machinery is
-/// paid). Byte-identical to [`repair_row`] — pinned by
+/// Ramalingam–Reps truncated repair of one source row for a **single**
+/// deletion below `far` (which stage A proved has no alternate parent).
+/// Phase 1 collects the exactly-affected set — vertices whose *every*
+/// shortest path from the source used the deleted edge — on a FIFO
+/// frontier (one seed means FIFO order *is* level order, so no bucket
+/// machinery is paid); phase 2 re-settles it from its unaffected boundary
+/// ([`settle_affected_kernel`]). Pinned to full BFS rebuilds by
 /// `tests/dynamic_apsp_props.rs`.
 ///
 /// Each popped candidate takes one **fused probe + gather** CSR scan: the
 /// scan renders the tight-parent verdict (early exit the moment an
 /// unaffected neighbor on the level below turns up — level marks below a
-/// candidate are final before it pops, exactly the scalar walk's
-/// invariant, so the verdicts coincide) while collecting the
+/// candidate are final before it pops) while collecting the
 /// still-unmarked neighbors into the contiguous `idx` buffer. Affected
 /// candidates keep their segment (`queue_seg`) for
 /// [`settle_affected_kernel`]'s fused boundary relaxation and push
 /// level-below children from it instead of re-walking the CSR; `enqueued`
-/// marks dedupe frontier pushes. Unlike the scalar walk — which probes
-/// the parent level during the *parent's* child scan and then re-walks
-/// every neighborhood in phases 1 **and** 2 — each neighborhood is walked
-/// once and everything downstream reduces over the contiguous segments.
+/// marks dedupe frontier pushes. Each neighborhood is walked once and
+/// everything downstream reduces over the contiguous segments.
 fn repair_row_kernel_single(
     scratch: &mut RepairScratch,
     csr: &Csr,
@@ -1495,10 +1237,11 @@ fn repair_row_kernel_single(
     ph.phase2.record_span(t1, telemetry::stamp());
 }
 
-/// Kernel-strategy repair of one source row for a whole **batch** of
-/// deletions: the level-bucketed frontier walk batching its row reads
-/// through the kernel layer. Returns whether the row changed at all.
-/// Byte-identical to [`repair_row_batch`] — pinned by
+/// Repair of one source row for a whole **batch** of deletions: the
+/// level-bucketed frontier walk batching its row reads through the kernel
+/// layer. Returns whether the row changed at all. `csr` must already lack
+/// every edge in `deleted`; `mask` hides the batch's not-yet-blended
+/// insertions from the scans. Pinned to full BFS rebuilds by
 /// `tests/dynamic_apsp_props.rs`.
 ///
 /// **Phase 1.** Far endpoints of tight deleted edges seed per-level
@@ -1613,7 +1356,7 @@ fn repair_row_kernel_batch(
     true
 }
 
-/// Fused probe + gather of one phase-1 candidate, shared by both kernel
+/// Fused probe + gather of one phase-1 candidate, shared by both
 /// walkers: one CSR scan both renders the tight-parent verdict (early
 /// exit the moment an unaffected neighbor on `parent_level` turns up —
 /// the common case on cyclic graphs) and collects the candidate's
@@ -1665,17 +1408,17 @@ fn probe_and_gather(
     intact
 }
 
-/// Phase 2 of the kernel strategy, shared by the single-edge and batch
-/// walkers: the batched boundary relaxation. Each affected vertex's
+/// Phase 2, shared by the single-edge and batch walkers: the batched
+/// boundary relaxation. Each affected vertex's
 /// **stored** phase-1 segment is re-filtered by the final affected marks
 /// into one contiguous boundary buffer (the stored set contains every
 /// neighbor that was unmarked when the vertex was examined — a superset
 /// of the finally-unaffected boundary — and `row` is not written until
 /// settling, so the gathered values are exact), then a single
 /// [`kernels::frontier_relax`] call reduces **every** vertex's boundary
-/// segment in one fused pass — replacing the scalar path's per-vertex
-/// masked re-walk of the CSR. When no vertex finds a boundary at all the
-/// whole set is provably disconnected and the settle is skipped outright.
+/// segment in one fused pass, with no second walk of the CSR. When no
+/// vertex finds a boundary at all the whole set is provably disconnected
+/// and the settle is skipped outright.
 fn settle_affected_kernel(
     scratch: &mut RepairScratch,
     csr: &Csr,
@@ -1751,21 +1494,21 @@ fn blend_row_cost(
 /// Reusable buffers for one row repair: epoch-stamped
 /// affected/settled/enqueued marks, the affected queue, candidate
 /// distances, the bucket queue shared by the phase-1 level walk and the
-/// phase-2 Dijkstra, and the kernel strategy's contiguous gather buffers
-/// (`idx`/`vals` with `seg` offsets, plus per-affected-vertex segment
-/// spans in `queue_seg` and the filtered phase-2 copies `vals2`/`seg2`).
+/// phase-2 Dijkstra, and the contiguous gather buffers (`idx` with
+/// per-affected-vertex spans in `queue_seg`, and the filtered phase-2
+/// boundary `members` with `seg` offsets).
 #[derive(Debug)]
 struct RepairScratch {
     affected: Vec<u32>,
     settled: Vec<u32>,
-    /// Bucket-membership marks for the kernel strategy's level walk.
+    /// Frontier-membership marks for the phase-1 walks.
     enqueued: Vec<u32>,
     epoch: u32,
     queue: Vec<V>,
     cand: Vec<Dist>,
     buckets: Vec<Vec<V>>,
-    /// Current frontier being examined (kernel strategy): the FIFO of the
-    /// single-edge walk, or one level bucket of the batch walk.
+    /// Current frontier being examined: the FIFO of the single-edge walk,
+    /// or one level bucket of the batch walk.
     frontier: Vec<V>,
     /// Phase-2 boundary buffer: every affected vertex's still-unaffected
     /// boundary ids, concatenated (offsets in `seg`).
@@ -1776,7 +1519,7 @@ struct RepairScratch {
     seg: Vec<u32>,
     /// Per-segment reduction results ([`kernels::frontier_relax`] output).
     mins: Vec<Dist>,
-    /// Each affected vertex's stored `[start, end)` span in `idx`/`vals`.
+    /// Each affected vertex's stored `[start, end)` span in `idx`.
     queue_seg: Vec<(u32, u32)>,
 }
 
@@ -1819,11 +1562,6 @@ impl RepairScratch {
             self.enqueued.fill(0);
             self.epoch = 1;
         }
-    }
-
-    #[inline]
-    fn mark_affected(&mut self, v: V) {
-        self.affected[v as usize] = self.epoch;
     }
 
     #[inline]

@@ -12,22 +12,19 @@
 //! * the **sum reduction** `Σ_x d(v, x)` (the paper's sum usage cost);
 //! * the **eccentricity reduction** `max_x d(v, x)` (the max usage cost).
 //!
-//! Each primitive exists in three strata:
+//! Each primitive exists in two strata:
 //!
 //! 1. a plain **scalar reference** (`*_scalar`) — the executable spec the
-//!    property tests in `tests/kernel_props.rs` pin the fast paths to;
-//! 2. a portable **SWAR** path packing 4 × `u16` lanes per `u64` word
-//!    (even/odd lane split so per-lane carries can never cross a lane
-//!    boundary) — the vectorized fallback on architectures without an
-//!    explicit SIMD path;
-//! 3. `#[cfg]`-gated **`core::arch`** paths: SSE2 on `x86_64` (baseline,
+//!    property tests in `tests/kernel_props.rs` pin the fast paths to, and
+//!    the dispatch target on architectures without an explicit SIMD path;
+//! 2. `#[cfg]`-gated **`core::arch`** paths: SSE2 on `x86_64` (baseline,
 //!    no runtime detection needed) and NEON on `aarch64`, 8 lanes per
 //!    128-bit vector.
 //!
 //! The saturating-add trick makes the sentinel free: [`UNREACHABLE_D`] is
 //! `u16::MAX`, so `via + 1` saturating at `u16::MAX` *is* the correct
 //! "unreachable stays unreachable" arithmetic, with no branch per lane
-//! (`_mm_adds_epu16` / `vqaddq_u16` / the SWAR overflow clamp).
+//! (`_mm_adds_epu16` / `vqaddq_u16`).
 //!
 //! The **fused k-term batch blend** ([`fused_blend_cost`]) applies a whole
 //! activation round's insertions to one row element in a single pass: the
@@ -40,13 +37,13 @@
 //!
 //! The **frontier kernels** ([`gather_min_plus`], [`frontier_relax`])
 //! serve the *deletion* side of the repair cycle: the Ramalingam–Reps
-//! walkers in [`crate::dynamic`] gather each frontier level's candidate
-//! neighborhoods into contiguous scratch buffers and render the phase-1
-//! tight-parent verdicts and phase-2 boundary seeds as batched min-plus
+//! walkers in [`crate::dynamic`] gather each frontier's candidate
+//! neighborhoods into contiguous scratch buffers and render stage A's
+//! alternate-parent test and phase 2's boundary seeds as batched min-plus
 //! reductions over those buffers, instead of chasing the CSR one neighbor
 //! at a time. The gathers themselves stay scalar (no portable `u16`
 //! gather exists below AVX-512/SVE), but every reduction over the
-//! gathered lanes runs through the same three strata as the blends.
+//! gathered lanes runs through the same strata as the blends.
 //!
 //! # Overflow discipline
 //!
@@ -205,15 +202,6 @@ pub fn try_narrow(src: &[u32], dst: &mut [Dist]) -> Result<(), DistOverflow> {
 // Scalar references — the executable spec.
 // ---------------------------------------------------------------------------
 
-/// Scalar reference for [`min_blend`]: `base[t] = min(base[t],
-/// 1 saturating+ via[t])` per element.
-pub fn min_blend_scalar(base: &mut [Dist], via: &[Dist]) {
-    debug_assert_eq!(base.len(), via.len());
-    for (b, &v) in base.iter_mut().zip(via) {
-        *b = (*b).min(v.saturating_add(1));
-    }
-}
-
 /// Scalar reference for [`blend_cost_sum`]: sum of the blended row
 /// `min(base, 1 + via)` without materializing it, [`INF_SUM`] when some
 /// blended entry is unreachable.
@@ -332,341 +320,6 @@ pub fn frontier_relax_scalar(row: &[Dist], idx: &[V], seg: &[u32], out: &mut [Di
 }
 
 // ---------------------------------------------------------------------------
-// SWAR — 4 × u16 lanes per u64 word, portable fallback.
-// ---------------------------------------------------------------------------
-
-/// Portable SWAR implementations. Lanes are processed in two interleaved
-/// phases (even lanes 0/2 and odd lanes 1/3 of each `u64` word), each lane
-/// isolated in a 32-bit field so per-lane carries and borrows can never
-/// cross into a neighbor. Exercised on every architecture by the property
-/// tests (the dispatchers only *route* to SIMD; the SWAR module is always
-/// compiled).
-pub mod swar {
-    use super::{BlendTerm, Dist, RowCost, INF_SUM, UNREACHABLE_D};
-    use crate::V;
-
-    /// Mask selecting lanes 0 and 2 of a `u64` word.
-    const EVEN: u64 = 0x0000_FFFF_0000_FFFF;
-    /// `+1` in each even lane.
-    const ONE_E: u64 = 0x0000_0001_0000_0001;
-    /// Guard bit at the top of each 32-bit field (for borrow-free compare).
-    const GUARD: u64 = 0x8000_0000_8000_0000;
-
-    /// Per-field saturating `x + 1` for two u16 values isolated in 32-bit
-    /// fields (values `≤ 0xFFFF`; a field that overflows clamps back to
-    /// `0xFFFF`, which is exactly the [`UNREACHABLE_D`] sentinel).
-    #[inline]
-    fn sat_inc_fields(x: u64) -> u64 {
-        let y = x + ONE_E;
-        y - ((y >> 16) & ONE_E)
-    }
-
-    /// Per-field saturating `x + y` (both fields `≤ 0xFFFF`, so each sum
-    /// fits in 17 bits and cannot spill past its 32-bit field).
-    #[inline]
-    fn sat_add_fields(x: u64, y: u64) -> u64 {
-        let s = x + y;
-        // A field that overflowed 16 bits has bit 16 of its field set;
-        // clear that bit (bringing the field back below 0x10000) and fill
-        // the field's low 16 bits to clamp it at 0xFFFF.
-        let of = (s >> 16) & ONE_E;
-        (s - (of << 16)) | (of * 0xFFFF)
-    }
-
-    /// Per-field unsigned min of two fields (values `≤ 0x1FFFF`).
-    #[inline]
-    fn min_fields(x: u64, y: u64) -> u64 {
-        // Guard bit survives the subtraction iff x >= y in that field.
-        let ge = (((x | GUARD) - y) >> 31) & ONE_E;
-        let m = ge * 0xFFFF_FFFF; // full-field mask where x >= y
-        (y & m) | (x & !m)
-    }
-
-    /// Per-field unsigned max.
-    #[inline]
-    fn max_fields(x: u64, y: u64) -> u64 {
-        let ge = (((x | GUARD) - y) >> 31) & ONE_E;
-        let m = ge * 0xFFFF_FFFF;
-        (x & m) | (y & !m)
-    }
-
-    /// Splits a `u64` of four u16 lanes into (even, odd) field words.
-    #[inline]
-    fn split(w: u64) -> (u64, u64) {
-        (w & EVEN, (w >> 16) & EVEN)
-    }
-
-    /// Recombines (even, odd) field words into four u16 lanes.
-    #[inline]
-    fn join(e: u64, o: u64) -> u64 {
-        e | (o << 16)
-    }
-
-    /// Reads 4 lanes from a `&[Dist]` at element offset `i` (must have 4).
-    #[inline]
-    fn load(s: &[Dist], i: usize) -> u64 {
-        u64::from(s[i])
-            | (u64::from(s[i + 1]) << 16)
-            | (u64::from(s[i + 2]) << 32)
-            | (u64::from(s[i + 3]) << 48)
-    }
-
-    /// Writes 4 lanes back.
-    #[inline]
-    fn store(s: &mut [Dist], i: usize, w: u64) {
-        s[i] = w as Dist;
-        s[i + 1] = (w >> 16) as Dist;
-        s[i + 2] = (w >> 32) as Dist;
-        s[i + 3] = (w >> 48) as Dist;
-    }
-
-    /// Sums the two u16-valued fields of an even/odd field word.
-    #[inline]
-    fn field_sum(w: u64) -> u64 {
-        (w & 0xFFFF_FFFF) + (w >> 32)
-    }
-
-    /// SWAR [`super::min_blend`].
-    pub fn min_blend(base: &mut [Dist], via: &[Dist]) {
-        debug_assert_eq!(base.len(), via.len());
-        let n4 = base.len() & !3;
-        let mut i = 0;
-        while i < n4 {
-            let (be, bo) = split(load(base, i));
-            let (ve, vo) = split(load(via, i));
-            let e = min_fields(be, sat_inc_fields(ve));
-            let o = min_fields(bo, sat_inc_fields(vo));
-            store(base, i, join(e, o));
-            i += 4;
-        }
-        for t in n4..base.len() {
-            base[t] = base[t].min(via[t].saturating_add(1));
-        }
-    }
-
-    /// SWAR [`super::blend_cost_sum`].
-    pub fn blend_cost_sum(base: &[Dist], via: &[Dist]) -> u64 {
-        debug_assert_eq!(base.len(), via.len());
-        let n4 = base.len() & !3;
-        let mut sum = 0u64;
-        let mut mxe = 0u64;
-        let mut mxo = 0u64;
-        let mut i = 0;
-        while i < n4 {
-            let (be, bo) = split(load(base, i));
-            let (ve, vo) = split(load(via, i));
-            let e = min_fields(be, sat_inc_fields(ve));
-            let o = min_fields(bo, sat_inc_fields(vo));
-            mxe = max_fields(mxe, e);
-            mxo = max_fields(mxo, o);
-            sum += field_sum(e) + field_sum(o);
-            i += 4;
-        }
-        let mut mx = max_fields(mxe, mxo);
-        mx = max_fields(mx, mx >> 32) & 0xFFFF_FFFF;
-        let mut mx = mx as Dist;
-        for t in n4..base.len() {
-            let d = base[t].min(via[t].saturating_add(1));
-            mx = mx.max(d);
-            sum += u64::from(d);
-        }
-        if mx == UNREACHABLE_D {
-            INF_SUM
-        } else {
-            sum
-        }
-    }
-
-    /// SWAR [`super::blend_cost_ecc`].
-    pub fn blend_cost_ecc(base: &[Dist], via: &[Dist]) -> u64 {
-        debug_assert_eq!(base.len(), via.len());
-        let n4 = base.len() & !3;
-        let mut mxe = 0u64;
-        let mut mxo = 0u64;
-        let mut i = 0;
-        while i < n4 {
-            let (be, bo) = split(load(base, i));
-            let (ve, vo) = split(load(via, i));
-            mxe = max_fields(mxe, min_fields(be, sat_inc_fields(ve)));
-            mxo = max_fields(mxo, min_fields(bo, sat_inc_fields(vo)));
-            i += 4;
-        }
-        let mut mx = max_fields(mxe, mxo);
-        mx = max_fields(mx, mx >> 32) & 0xFFFF_FFFF;
-        let mut mx = mx as Dist;
-        for t in n4..base.len() {
-            mx = mx.max(base[t].min(via[t].saturating_add(1)));
-        }
-        if mx == UNREACHABLE_D {
-            INF_SUM
-        } else {
-            u64::from(mx)
-        }
-    }
-
-    /// SWAR [`super::row_cost`].
-    pub fn row_cost(row: &[Dist]) -> RowCost {
-        let n4 = row.len() & !3;
-        let mut sum = 0u64;
-        let mut mxe = 0u64;
-        let mut mxo = 0u64;
-        let mut i = 0;
-        while i < n4 {
-            let (e, o) = split(load(row, i));
-            mxe = max_fields(mxe, e);
-            mxo = max_fields(mxo, o);
-            sum += field_sum(e) + field_sum(o);
-            i += 4;
-        }
-        let mut mx = max_fields(mxe, mxo);
-        mx = max_fields(mx, mx >> 32) & 0xFFFF_FFFF;
-        let mut mx = mx as Dist;
-        for &d in &row[n4..] {
-            mx = mx.max(d);
-            sum += u64::from(d);
-        }
-        if mx == UNREACHABLE_D {
-            RowCost {
-                sum: INF_SUM,
-                ecc: UNREACHABLE_D,
-            }
-        } else {
-            RowCost { sum, ecc: mx }
-        }
-    }
-
-    /// Folds an even/odd field word of per-field minima down to one lane.
-    #[inline]
-    fn fold_min(mne: u64, mno: u64) -> Dist {
-        let mut mn = min_fields(mne, mno);
-        mn = min_fields(mn, mn >> 32) & 0xFFFF_FFFF;
-        mn as Dist
-    }
-
-    /// SWAR [`super::gather_min_plus`]: the gather itself is scalar (no
-    /// portable u16 gather exists), but four gathered lanes at a time are
-    /// reduced through the field-isolated min. Frontiers shorter than one
-    /// word skip straight to the scalar reduction — the word setup and
-    /// fold would cost more than they save.
-    pub fn gather_min_plus(row: &[Dist], idx: &[V]) -> (Dist, u32) {
-        if idx.len() < 4 {
-            return super::gather_min_plus_scalar(row, idx);
-        }
-        let n4 = idx.len() & !3;
-        let mut mne = EVEN; // every field starts at 0xFFFF = UNREACHABLE_D
-        let mut mno = EVEN;
-        let mut i = 0;
-        while i < n4 {
-            let w = u64::from(row[idx[i] as usize])
-                | (u64::from(row[idx[i + 1] as usize]) << 16)
-                | (u64::from(row[idx[i + 2] as usize]) << 32)
-                | (u64::from(row[idx[i + 3] as usize]) << 48);
-            let (e, o) = split(w);
-            mne = min_fields(mne, e);
-            mno = min_fields(mno, o);
-            i += 4;
-        }
-        let mut mn = fold_min(mne, mno);
-        for &v in &idx[n4..] {
-            mn = mn.min(row[v as usize]);
-        }
-        let pos = idx
-            .iter()
-            .position(|&v| row[v as usize] == mn)
-            .expect("some gathered entry attains the minimum") as u32;
-        (mn.saturating_add(1), pos)
-    }
-
-    /// SWAR [`super::frontier_relax`]: each segment is gathered from the
-    /// row and reduced four lanes at a time; segments shorter than one
-    /// word take a plain scalar min (the common case on low-degree
-    /// frontiers, where the word fold would be pure overhead).
-    pub fn frontier_relax(row: &[Dist], idx: &[V], seg: &[u32], out: &mut [Dist]) {
-        debug_assert_eq!(seg.len(), out.len() + 1, "seg must bound every slot");
-        for (j, slot) in out.iter_mut().enumerate() {
-            let s = seg[j] as usize;
-            let e = seg[j + 1] as usize;
-            let len = e - s;
-            let mut mn = UNREACHABLE_D;
-            if len < 4 {
-                for &v in &idx[s..e] {
-                    mn = mn.min(row[v as usize]);
-                }
-            } else {
-                let n4 = len & !3;
-                let mut mne = EVEN;
-                let mut mno = EVEN;
-                let mut i = s;
-                while i < s + n4 {
-                    let w = u64::from(row[idx[i] as usize])
-                        | (u64::from(row[idx[i + 1] as usize]) << 16)
-                        | (u64::from(row[idx[i + 2] as usize]) << 32)
-                        | (u64::from(row[idx[i + 3] as usize]) << 48);
-                    let (ve, vo) = split(w);
-                    mne = min_fields(mne, ve);
-                    mno = min_fields(mno, vo);
-                    i += 4;
-                }
-                mn = fold_min(mne, mno);
-                for &v in &idx[s + n4..e] {
-                    mn = mn.min(row[v as usize]);
-                }
-            }
-            *slot = (*slot).min(mn.saturating_add(1));
-        }
-    }
-
-    /// SWAR [`super::fused_blend_cost`].
-    pub fn fused_blend_cost(row: &mut [Dist], terms: &[BlendTerm<'_>]) -> RowCost {
-        let n4 = row.len() & !3;
-        let mut sum = 0u64;
-        let mut mxe = 0u64;
-        let mut mxo = 0u64;
-        let mut i = 0;
-        while i < n4 {
-            let (mut e, mut o) = split(load(row, i));
-            for term in terms {
-                let ca = u64::from(term.add_a) * ONE_E;
-                let cb = u64::from(term.add_b) * ONE_E;
-                let (ae, ao) = split(load(term.row_a, i));
-                let (be, bo) = split(load(term.row_b, i));
-                e = min_fields(e, sat_add_fields(ae, ca));
-                e = min_fields(e, sat_add_fields(be, cb));
-                o = min_fields(o, sat_add_fields(ao, ca));
-                o = min_fields(o, sat_add_fields(bo, cb));
-            }
-            mxe = max_fields(mxe, e);
-            mxo = max_fields(mxo, o);
-            sum += field_sum(e) + field_sum(o);
-            store(row, i, join(e, o));
-            i += 4;
-        }
-        let mut mx = max_fields(mxe, mxo);
-        mx = max_fields(mx, mx >> 32) & 0xFFFF_FFFF;
-        let mut mx = mx as Dist;
-        for t in n4..row.len() {
-            let mut m = row[t];
-            for term in terms {
-                m = m
-                    .min(term.add_a.saturating_add(term.row_a[t]))
-                    .min(term.add_b.saturating_add(term.row_b[t]));
-            }
-            row[t] = m;
-            mx = mx.max(m);
-            sum += u64::from(m);
-        }
-        if mx == UNREACHABLE_D {
-            RowCost {
-                sum: INF_SUM,
-                ecc: UNREACHABLE_D,
-            }
-        } else {
-            RowCost { sum, ecc: mx }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SSE2 — x86_64 baseline, 8 × u16 lanes per 128-bit vector.
 // ---------------------------------------------------------------------------
 
@@ -739,25 +392,6 @@ mod sse2 {
         let s = _mm_add_epi32(v, hi);
         let s2 = _mm_add_epi32(s, _mm_srli_si128(s, 4));
         _mm_cvtsi128_si32(s2) as u32 as u64
-    }
-
-    pub fn min_blend(base: &mut [Dist], via: &[Dist]) {
-        debug_assert_eq!(base.len(), via.len());
-        let nl = base.len() & !(L - 1);
-        // SAFETY: all vector accesses are at offsets i with i + 8 <= len.
-        unsafe {
-            let ones = _mm_set1_epi16(1);
-            let mut i = 0;
-            while i < nl {
-                let b = loadu(base, i);
-                let v = loadu(via, i);
-                storeu(base, i, umin(b, _mm_adds_epu16(v, ones)));
-                i += L;
-            }
-        }
-        for t in nl..base.len() {
-            base[t] = base[t].min(via[t].saturating_add(1));
-        }
     }
 
     pub fn blend_cost_sum(base: &[Dist], via: &[Dist]) -> u64 {
@@ -1004,25 +638,6 @@ mod neon {
 
     const L: usize = 8;
 
-    pub fn min_blend(base: &mut [Dist], via: &[Dist]) {
-        debug_assert_eq!(base.len(), via.len());
-        let nl = base.len() & !(L - 1);
-        // SAFETY: all vector accesses are at offsets i with i + 8 <= len.
-        unsafe {
-            let ones = vdupq_n_u16(1);
-            let mut i = 0;
-            while i < nl {
-                let b = vld1q_u16(base.as_ptr().add(i));
-                let v = vld1q_u16(via.as_ptr().add(i));
-                vst1q_u16(base.as_mut_ptr().add(i), vminq_u16(b, vqaddq_u16(v, ones)));
-                i += L;
-            }
-        }
-        for t in nl..base.len() {
-            base[t] = base[t].min(via[t].saturating_add(1));
-        }
-    }
-
     pub fn blend_cost_sum(base: &[Dist], via: &[Dist]) -> u64 {
         debug_assert_eq!(base.len(), via.len());
         let nl = base.len() & !(L - 1);
@@ -1239,8 +854,10 @@ mod neon {
 // Dispatch — compile-time routing to the best available path.
 // ---------------------------------------------------------------------------
 
+/// Routes a kernel call to the SIMD stratum of the target architecture,
+/// or to its scalar reference on targets without one.
 macro_rules! dispatch {
-    ($($args:expr),*; $name:ident) => {{
+    ($($args:expr),*; $name:ident, $scalar:ident) => {{
         #[cfg(target_arch = "x86_64")]
         {
             sse2::$name($($args),*)
@@ -1251,7 +868,7 @@ macro_rules! dispatch {
         }
         #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
         {
-            swar::$name($($args),*)
+            $scalar($($args),*)
         }
     }};
 }
@@ -1263,19 +880,15 @@ const DISPATCH_STRATUM: &str = "kernels.dispatch.sse2";
 #[cfg(target_arch = "aarch64")]
 const DISPATCH_STRATUM: &str = "kernels.dispatch.neon";
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-const DISPATCH_STRATUM: &str = "kernels.dispatch.swar";
+const DISPATCH_STRATUM: &str = "kernels.dispatch.scalar";
 
-/// Lanes per vector word of the selected stratum: 8 × `u16` per 128-bit
-/// SSE2/NEON vector, 4 × `u16` per SWAR `u64` word.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+/// Lanes per 128-bit SSE2/NEON vector (8 × `u16`).
 const DISPATCH_LANES: usize = 8;
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-const DISPATCH_LANES: usize = 4;
 
 /// Count one public kernel call against its dispatch stratum. Calls whose
-/// driving slice is shorter than one vector word never enter the
-/// vectorized main loop — only the stratum's scalar tail — so they are
-/// counted as `kernels.dispatch.scalar` instead.
+/// driving slice is shorter than one vector never enter the vectorized
+/// main loop — only the stratum's scalar tail — so they are counted as
+/// `kernels.dispatch.scalar` instead.
 #[inline]
 fn count_dispatch(len: usize) {
     if len >= DISPATCH_LANES {
@@ -1283,25 +896,6 @@ fn count_dispatch(len: usize) {
     } else {
         telemetry::counter!("kernels.dispatch.scalar").incr();
     }
-}
-
-/// In-place min-plus blend of the insertion identity:
-/// `base[t] = min(base[t], 1 saturating+ via[t])`.
-///
-/// # Examples
-/// ```
-/// use bncg_graph::kernels::{min_blend, UNREACHABLE_D};
-///
-/// let mut base = [0u16, 4, UNREACHABLE_D, 2];
-/// let via = [9u16, 1, 1, UNREACHABLE_D];
-/// min_blend(&mut base, &via);
-/// // Unreachable entries saturate: UNREACHABLE + 1 stays UNREACHABLE.
-/// assert_eq!(base, [0, 2, 2, 2]);
-/// ```
-#[inline]
-pub fn min_blend(base: &mut [Dist], via: &[Dist]) {
-    count_dispatch(base.len());
-    dispatch!(base, via; min_blend)
 }
 
 /// Sum of the blended row `min(base, 1 + via)` without materializing it —
@@ -1328,7 +922,7 @@ pub fn min_blend(base: &mut [Dist], via: &[Dist]) {
 pub fn blend_cost_sum(base: &[Dist], via: &[Dist]) -> u64 {
     debug_assert!(base.len() <= MAX_FINITE_DIST as usize + 1);
     count_dispatch(base.len());
-    dispatch!(base, via; blend_cost_sum)
+    dispatch!(base, via; blend_cost_sum, blend_cost_sum_scalar)
 }
 
 /// Eccentricity of the blended row `min(base, 1 + via)` as a game cost —
@@ -1345,7 +939,7 @@ pub fn blend_cost_sum(base: &[Dist], via: &[Dist]) -> u64 {
 #[inline]
 pub fn blend_cost_ecc(base: &[Dist], via: &[Dist]) -> u64 {
     count_dispatch(base.len());
-    dispatch!(base, via; blend_cost_ecc)
+    dispatch!(base, via; blend_cost_ecc, blend_cost_ecc_scalar)
 }
 
 /// One-pass sum + eccentricity of a compact row — the primitive behind
@@ -1365,7 +959,7 @@ pub fn blend_cost_ecc(base: &[Dist], via: &[Dist]) -> u64 {
 pub fn row_cost(row: &[Dist]) -> RowCost {
     debug_assert!(row.len() <= MAX_FINITE_DIST as usize + 1);
     count_dispatch(row.len());
-    dispatch!(row; row_cost)
+    dispatch!(row; row_cost, row_cost_scalar)
 }
 
 /// Fused k-term batch blend of one row: applies every term's two min
@@ -1393,7 +987,7 @@ pub fn row_cost(row: &[Dist]) -> RowCost {
 pub fn fused_blend_cost(row: &mut [Dist], terms: &[BlendTerm<'_>]) -> RowCost {
     debug_assert!(row.len() <= MAX_FINITE_DIST as usize + 1);
     count_dispatch(row.len());
-    dispatch!(row, terms; fused_blend_cost)
+    dispatch!(row, terms; fused_blend_cost, fused_blend_cost_scalar)
 }
 
 /// Masked gather min-plus: gathers `row[i]` for each vertex `i` in `idx`
@@ -1425,7 +1019,7 @@ pub fn fused_blend_cost(row: &mut [Dist], terms: &[BlendTerm<'_>]) -> RowCost {
 #[inline]
 pub fn gather_min_plus(row: &[Dist], idx: &[V]) -> (Dist, u32) {
     count_dispatch(idx.len());
-    dispatch!(row, idx; gather_min_plus)
+    dispatch!(row, idx; gather_min_plus, gather_min_plus_scalar)
 }
 
 /// Fused multi-row min across a level bucket: `idx` concatenates the
@@ -1461,7 +1055,7 @@ pub fn gather_min_plus(row: &[Dist], idx: &[V]) -> (Dist, u32) {
 #[inline]
 pub fn frontier_relax(row: &[Dist], idx: &[V], seg: &[u32], out: &mut [Dist]) {
     count_dispatch(idx.len());
-    dispatch!(row, idx, seg, out; frontier_relax)
+    dispatch!(row, idx, seg, out; frontier_relax, frontier_relax_scalar)
 }
 
 /// Row cost restricted to an index set: `Σ_{i ∈ idx} row[i]`, or
@@ -1470,9 +1064,9 @@ pub fn frontier_relax(row: &[Dist], idx: &[V], seg: &[u32], out: &mut [Dist]) {
 /// (each agent pays only for the vertices in its interest set).
 ///
 /// Gather-style (indices are arbitrary), so this runs as a single scalar
-/// pass on every stratum: without hardware gathers the SWAR/SIMD lanes
-/// have nothing to batch, and interest sets are short by construction.
-/// An empty `idx` costs `0`.
+/// pass on every stratum, and counts as `kernels.dispatch.scalar`: without
+/// hardware gathers the SIMD lanes have nothing to batch, and interest
+/// sets are short by construction. An empty `idx` costs `0`.
 ///
 /// # Panics
 /// Panics (via slice indexing) when some `idx` entry is out of bounds for
@@ -1489,7 +1083,7 @@ pub fn frontier_relax(row: &[Dist], idx: &[V], seg: &[u32], out: &mut [Dist]) {
 /// ```
 #[inline]
 pub fn masked_row_cost(row: &[Dist], idx: &[V]) -> u64 {
-    count_dispatch(idx.len());
+    telemetry::counter!("kernels.dispatch.scalar").incr();
     let mut sum = 0u64;
     let mut mx: Dist = 0;
     for &i in idx {
@@ -1528,7 +1122,7 @@ pub fn masked_row_cost(row: &[Dist], idx: &[V]) -> u64 {
 #[inline]
 pub fn masked_blend_cost_sum(base: &[Dist], via: &[Dist], idx: &[V]) -> u64 {
     debug_assert_eq!(base.len(), via.len());
-    count_dispatch(idx.len());
+    telemetry::counter!("kernels.dispatch.scalar").incr();
     let mut sum = 0u64;
     let mut mx: Dist = 0;
     for &i in idx {
@@ -1590,36 +1184,6 @@ mod tests {
                     "ecc n={n} seed={seed}"
                 );
                 assert_eq!(row_cost(&base), row_cost_scalar(&base), "row n={n}");
-                let mut fast = base.clone();
-                let mut slow = base.clone();
-                min_blend(&mut fast, &via);
-                min_blend_scalar(&mut slow, &via);
-                assert_eq!(fast, slow, "min_blend n={n} seed={seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn swar_matches_scalar_reference() {
-        for n in [0usize, 1, 4, 5, 12, 31, 100] {
-            for seed in 1..6u64 {
-                let (base, via) = sample_rows(n, seed * 31 + 7);
-                assert_eq!(
-                    swar::blend_cost_sum(&base, &via),
-                    blend_cost_sum_scalar(&base, &via),
-                    "swar sum n={n} seed={seed}"
-                );
-                assert_eq!(
-                    swar::blend_cost_ecc(&base, &via),
-                    blend_cost_ecc_scalar(&base, &via),
-                    "swar ecc n={n} seed={seed}"
-                );
-                assert_eq!(swar::row_cost(&base), row_cost_scalar(&base));
-                let mut fast = base.clone();
-                let mut slow = base.clone();
-                swar::min_blend(&mut fast, &via);
-                min_blend_scalar(&mut slow, &via);
-                assert_eq!(fast, slow, "swar min_blend n={n} seed={seed}");
             }
         }
     }
@@ -1646,14 +1210,10 @@ mod tests {
             ];
             let mut a = row0.clone();
             let mut b = row0.clone();
-            let mut c = row0.clone();
             let ra = fused_blend_cost(&mut a, &terms);
             let rb = fused_blend_cost_scalar(&mut b, &terms);
-            let rc = swar::fused_blend_cost(&mut c, &terms);
             assert_eq!(a, b, "fused row n={n}");
             assert_eq!(ra, rb, "fused cost n={n}");
-            assert_eq!(c, b, "swar fused row n={n}");
-            assert_eq!(rc, rb, "swar fused cost n={n}");
         }
     }
 
@@ -1672,7 +1232,6 @@ mod tests {
                 let idx: Vec<V> = (0..n).map(|_| (next() % row.len() as u64) as V).collect();
                 let expect = gather_min_plus_scalar(&row, &idx);
                 assert_eq!(gather_min_plus(&row, &idx), expect, "dispatch n={n}");
-                assert_eq!(swar::gather_min_plus(&row, &idx), expect, "swar n={n}");
             }
         }
         let row = [5u16, UNREACHABLE_D];
@@ -1700,12 +1259,9 @@ mod tests {
             let mut a = vec![UNREACHABLE_D; slots];
             a[0] = 2; // a pre-lowered slot must only ever decrease
             let mut b = a.clone();
-            let mut c = a.clone();
             frontier_relax(&row, &idx, &seg, &mut a);
             frontier_relax_scalar(&row, &idx, &seg, &mut b);
-            swar::frontier_relax(&row, &idx, &seg, &mut c);
             assert_eq!(a, b, "dispatch seed={seed}");
-            assert_eq!(c, b, "swar seed={seed}");
         }
         // Degenerate shapes: no segments, all-empty segments.
         let mut out: [Dist; 0] = [];
@@ -1722,9 +1278,6 @@ mod tests {
         let via = vec![UNREACHABLE_D; 16];
         assert_eq!(blend_cost_sum(&base, &via), INF_SUM);
         assert_eq!(blend_cost_ecc(&base, &via), INF_SUM);
-        let mut b = base.clone();
-        min_blend(&mut b, &via);
-        assert_eq!(b, base);
         // A reachable via-row rescues the blend.
         let via2 = vec![0 as Dist; 16];
         assert_eq!(blend_cost_sum(&base, &via2), 16);

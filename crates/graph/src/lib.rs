@@ -23,7 +23,7 @@
 //!   [`dynamic`]), together with per-vertex cost aggregates (row sums and
 //!   eccentricities) updated only for the rows each repair touches.
 //! * [`kernels`] — the compact-distance kernel layer: `u16` rows,
-//!   SWAR/SIMD min-plus blends, fused batch blends, and one-pass row
+//!   SIMD min-plus blends, fused batch blends, and one-pass row
 //!   aggregates; every hot scan above routes through it.
 //! * [`generators`] — classic families, random models, Prüfer codecs, and
 //!   exhaustive rooted/free tree enumeration (Beyer–Hedetniemi + AHU).

@@ -7,17 +7,19 @@
 //! uniform random trees, through `Swapped`/`Deleted`/`Noop` records alike —
 //! and compare the maintained matrix byte-for-byte against
 //! `DistanceMatrix::build` of the mutated graph after **every** step, at
-//! both fallback-threshold extremes. A deterministic long-run test keeps
-//! the total step count ≥ 1000 regardless of proptest case budgets, and
-//! context-level properties pin `refresh_after` trajectories to fresh
-//! contexts under both objectives.
+//! both fallback-threshold extremes; single swaps also pin stage A's
+//! candidate count to the exact number of rows the deletion changes, and
+//! round batches are swept the same way through `apply_batch`.
+//! Deterministic long-run tests keep the step counts above fixed floors
+//! regardless of proptest case budgets, and context-level properties pin
+//! `refresh_after` trajectories to fresh contexts under both objectives.
 
 use bncg::game::context::EvalContext;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
-use bncg::graph::adjacency::Edge;
-use bncg::graph::dynamic::{DynamicApsp, RepairStrategy};
+use bncg::graph::adjacency::{Edge, SwapApplied};
+use bncg::graph::dynamic::DynamicApsp;
 use bncg::graph::generators::random::{gnp, random_tree};
-use bncg::graph::{DistanceMatrix, Graph, V};
+use bncg::graph::{Csr, DistanceMatrix, Graph, V};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,9 +77,22 @@ fn assert_byte_identical(da: &DynamicApsp, g: &Graph, context: &str) {
     fresh.recycle();
 }
 
+/// Number of source rows that deleting `vw` from `before` changes, by two
+/// full BFS builds. Stage A marks a row exactly when the far endpoint
+/// loses its last parent, which is exactly when the row changes, so this
+/// is the exact `last_repair_candidates` of the deletion.
+fn rows_changed_by_deletion(before: &Csr, v: V, w: V) -> usize {
+    let full = DistanceMatrix::build(before);
+    let masked = DistanceMatrix::build_masked(before, (v, w));
+    (0..full.n() as V)
+        .filter(|&s| full.row(s) != masked.row(s))
+        .count()
+}
+
 /// Replays `steps` random swaps on `g`, checking the maintained matrix
-/// against a full rebuild after every step. Returns the number of steps
-/// actually applied.
+/// against a full rebuild and stage A's candidate count against
+/// [`rows_changed_by_deletion`] after every step. Returns the number of
+/// steps actually applied.
 fn replay_and_check(mut g: Graph, seed: u64, steps: usize, max_repair_rows: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut da = DynamicApsp::build(&g.to_csr());
@@ -87,6 +102,7 @@ fn replay_and_check(mut g: Graph, seed: u64, steps: usize, max_repair_rows: usiz
         let Some((v, w, w2)) = random_swap(&mut rng, &g) else {
             break;
         };
+        let before = g.to_csr();
         let rec = g.apply_swap(v, w, w2);
         da.apply_swap(&g.to_csr(), &rec);
         applied += 1;
@@ -95,6 +111,14 @@ fn replay_and_check(mut g: Graph, seed: u64, steps: usize, max_repair_rows: usiz
             &g,
             &format!("step {step}, threshold {max_repair_rows}"),
         );
+        if let SwapApplied::Deleted { v, w } | SwapApplied::Swapped { v, w, .. } = rec {
+            assert_eq!(
+                da.stats().last_repair_candidates,
+                rows_changed_by_deletion(&before, v, w),
+                "stage A marked a row the deletion leaves unchanged, or missed one \
+                 (step {step}, threshold {max_repair_rows})"
+            );
+        }
     }
     applied
 }
@@ -118,49 +142,6 @@ fn assert_context_paths_agree<O: Objective>(ctx: &EvalContext, g: &Graph) {
         "witness diverged under {}",
         O::NAME
     );
-}
-
-/// Replays `steps` random swaps on `g` through **two** maintained
-/// matrices — one per repair strategy — asserting after every step that
-/// the batched (kernel) walkers, the scalar walkers, and a full rebuild
-/// agree byte for byte. Returns the number of steps actually applied.
-fn replay_and_check_strategies(
-    mut g: Graph,
-    seed: u64,
-    steps: usize,
-    max_repair_rows: usize,
-) -> usize {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let csr0 = g.to_csr();
-    let mut scalar = DynamicApsp::build(&csr0);
-    scalar.set_repair_strategy(RepairStrategy::Scalar);
-    scalar.set_max_repair_rows(max_repair_rows);
-    let mut kernel = DynamicApsp::build(&csr0);
-    kernel.set_repair_strategy(RepairStrategy::Kernel);
-    kernel.set_max_repair_rows(max_repair_rows);
-    let mut applied = 0;
-    for step in 0..steps {
-        let Some((v, w, w2)) = random_swap(&mut rng, &g) else {
-            break;
-        };
-        let rec = g.apply_swap(v, w, w2);
-        let csr = g.to_csr();
-        scalar.apply_swap(&csr, &rec);
-        kernel.apply_swap(&csr, &rec);
-        applied += 1;
-        assert_eq!(
-            kernel.matrix(),
-            scalar.matrix(),
-            "kernel and scalar strategies diverged (step {step}, threshold {max_repair_rows})"
-        );
-        assert_eq!(
-            kernel.stats().last_repair_candidates,
-            scalar.stats().last_repair_candidates,
-            "stage A candidate counts diverged (step {step})"
-        );
-        assert_byte_identical(&kernel, &g, &format!("kernel strategy, step {step}"));
-    }
-    applied
 }
 
 /// Synthesizes one batch of up to `k` proper swaps with pairwise-disjoint
@@ -199,10 +180,10 @@ fn synth_batch<R: Rng>(rng: &mut R, g: &Graph, k: usize) -> Vec<(V, V, V)> {
     batch
 }
 
-/// Replays `rounds` synthesized swap batches through `apply_batch` under
-/// both strategies, checking byte identity to each other and to a full
-/// rebuild after every round barrier. Returns total swaps applied.
-fn replay_batches_and_check_strategies(
+/// Replays `rounds` synthesized swap batches through `apply_batch`,
+/// checking the maintained matrix against a full rebuild after every
+/// round barrier. Returns total swaps applied.
+fn replay_batches_and_check(
     mut g: Graph,
     seed: u64,
     rounds: usize,
@@ -210,13 +191,8 @@ fn replay_batches_and_check_strategies(
     max_repair_rows: usize,
 ) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
-    let csr0 = g.to_csr();
-    let mut scalar = DynamicApsp::build(&csr0);
-    scalar.set_repair_strategy(RepairStrategy::Scalar);
-    scalar.set_max_repair_rows(max_repair_rows);
-    let mut kernel = DynamicApsp::build(&csr0);
-    kernel.set_repair_strategy(RepairStrategy::Kernel);
-    kernel.set_max_repair_rows(max_repair_rows);
+    let mut da = DynamicApsp::build(&g.to_csr());
+    da.set_max_repair_rows(max_repair_rows);
     let mut applied = 0;
     for round in 0..rounds {
         let moves = synth_batch(&mut rng, &g, k);
@@ -224,34 +200,31 @@ fn replay_batches_and_check_strategies(
             .iter()
             .map(|&(v, w, w2)| g.apply_swap(v, w, w2))
             .collect();
-        let csr = g.to_csr();
-        scalar.apply_batch(&csr, &batch);
-        kernel.apply_batch(&csr, &batch);
+        da.apply_batch(&g.to_csr(), &batch);
         applied += moves.len();
-        assert_eq!(
-            kernel.matrix(),
-            scalar.matrix(),
-            "batch strategies diverged (round {round}, threshold {max_repair_rows})"
+        assert_byte_identical(
+            &da,
+            &g,
+            &format!("batch round {round}, threshold {max_repair_rows}"),
         );
-        assert_byte_identical(&kernel, &g, &format!("kernel batch, round {round}"));
     }
     applied
 }
 
 #[test]
-fn five_hundred_plus_swaps_agree_across_repair_strategies() {
-    // Deterministic volume floor for the strategy equivalence: ≥ 500
-    // verified swaps across ER graphs and trees, at both fallback
+fn five_hundred_plus_swaps_match_bfs_at_both_threshold_extremes() {
+    // Deterministic volume floor: ≥ 500 verified swaps (matrix and exact
+    // stage-A count) across ER graphs and trees, at both fallback
     // extremes (never rebuild / always rebuild).
     let mut rng = StdRng::seed_from_u64(0x57AA7);
     let mut total = 0usize;
     for round in 0..2 {
         let er = gnp(&mut rng, 26, 0.13);
-        total += replay_and_check_strategies(er.clone(), 0xA0 + round, 90, er.n());
-        total += replay_and_check_strategies(er, 0xB0 + round, 40, 0);
+        total += replay_and_check(er.clone(), 0xA0 + round, 90, er.n());
+        total += replay_and_check(er, 0xB0 + round, 40, 0);
         let t = random_tree(&mut rng, 21);
-        total += replay_and_check_strategies(t.clone(), 0xC0 + round, 90, t.n());
-        total += replay_and_check_strategies(t, 0xD0 + round, 40, 0);
+        total += replay_and_check(t.clone(), 0xC0 + round, 90, t.n());
+        total += replay_and_check(t, 0xD0 + round, 40, 0);
     }
     assert!(
         total >= 500,
@@ -260,16 +233,16 @@ fn five_hundred_plus_swaps_agree_across_repair_strategies() {
 }
 
 #[test]
-fn batch_repairs_agree_across_repair_strategies() {
+fn batch_repairs_match_bfs_at_both_threshold_extremes() {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
     let mut total = 0usize;
     for round in 0..2 {
         let er = gnp(&mut rng, 30, 0.12);
-        total += replay_batches_and_check_strategies(er.clone(), 0x10 + round, 8, 5, er.n());
-        total += replay_batches_and_check_strategies(er, 0x20 + round, 4, 5, 0);
+        total += replay_batches_and_check(er.clone(), 0x10 + round, 8, 5, er.n());
+        total += replay_batches_and_check(er, 0x20 + round, 4, 5, 0);
         let t = random_tree(&mut rng, 24);
-        total += replay_batches_and_check_strategies(t.clone(), 0x30 + round, 8, 4, t.n());
-        total += replay_batches_and_check_strategies(t, 0x40 + round, 4, 4, 0);
+        total += replay_batches_and_check(t.clone(), 0x30 + round, 8, 4, t.n());
+        total += replay_batches_and_check(t, 0x40 + round, 4, 4, 0);
     }
     assert!(total >= 150, "batch volume floor not met: {total} swaps");
 }
@@ -316,21 +289,21 @@ proptest! {
     }
 
     #[test]
-    fn er_repair_strategies_agree_at_both_threshold_extremes(
+    fn er_batch_repairs_match_bfs_at_both_threshold_extremes(
         g in er_graph(36),
         seed in any::<u64>(),
     ) {
-        replay_and_check_strategies(g.clone(), seed, 10, g.n());
-        replay_and_check_strategies(g, seed, 10, 0);
+        replay_batches_and_check(g.clone(), seed, 4, 4, g.n());
+        replay_batches_and_check(g, seed, 4, 4, 0);
     }
 
     #[test]
-    fn tree_repair_strategies_agree_at_both_threshold_extremes(
+    fn tree_batch_repairs_match_bfs_at_both_threshold_extremes(
         t in tree(30),
         seed in any::<u64>(),
     ) {
-        replay_and_check_strategies(t.clone(), seed, 10, t.n());
-        replay_and_check_strategies(t, seed, 10, 0);
+        replay_batches_and_check(t.clone(), seed, 4, 4, t.n());
+        replay_batches_and_check(t, seed, 4, 4, 0);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! The 2-neighborhood game's no-APSP guarantee, asserted through the
-//! `apsp.*` telemetry counters.
+//! Game telemetry assertions: the 2-neighborhood game's no-APSP guarantee,
+//! asserted through the `apsp.*` telemetry counters, and the interest
+//! game's masked kernels counted as scalar dispatches.
 //!
 //! [`TwoNeighborhoodGame`] reports `needs_apsp() == false`, and every
 //! engine gates its eager matrix builds, checkpoint CRCs, and resume
 //! verification on that flag — so a full run across the engine family
 //! (serial rounds, hand-stepped rounds, the service, a journal resume)
 //! must never build, rebuild, or repair a distance matrix. Telemetry
-//! counters are process-global, so this assertion lives alone in its own
-//! test binary: the single `#[test]` below runs the whole sequence
+//! counters are process-global, so these assertions live alone in their
+//! own test binary: the single `#[test]` below runs the whole sequence
 //! serially and owns the counters for the process lifetime.
 
 #![cfg(feature = "telemetry")]
@@ -18,6 +19,8 @@ use bncg::dynamics::rounds::{RoundConfig, RoundDynamics};
 use bncg::game::objective::SumObjective;
 use bncg::game::rules::TwoNeighborhoodGame;
 use bncg::graph::generators::random::gnp;
+use bncg::graph::kernels::{self, Dist};
+use bncg::graph::V;
 use bncg::telemetry;
 use bncg::testkit::conformance::assert_equivalent;
 use rand::rngs::StdRng;
@@ -76,4 +79,19 @@ fn two_neighborhood_game_never_touches_the_apsp_subsystem() {
         basic[0] > after[0],
         "apsp.builds must move under the basic game — is telemetry wired?"
     );
+
+    // The interest game's masked kernels are scalar loops on every
+    // stratum, so a call counts as a scalar dispatch even when its index
+    // set is a full vector wide.
+    let simd = || {
+        telemetry::counter("kernels.dispatch.sse2").get()
+            + telemetry::counter("kernels.dispatch.neon").get()
+    };
+    let scalar = || telemetry::counter("kernels.dispatch.scalar").get();
+    let (simd0, scalar0) = (simd(), scalar());
+    let row: Vec<Dist> = (0..32).collect();
+    let idx: Vec<V> = (0..16).collect();
+    assert_eq!(kernels::masked_blend_cost_sum(&row, &row, &idx), 120);
+    assert_eq!(scalar() - scalar0, 1, "masked kernels count as scalar");
+    assert_eq!(simd() - simd0, 0, "masked kernels never dispatch to SIMD");
 }

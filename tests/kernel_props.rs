@@ -1,7 +1,7 @@
 //! Property tests pinning the compact-distance kernel layer to a scalar
 //! `u32` reference.
 //!
-//! The kernels in `bncg_graph::kernels` are the vectorized (SWAR / SIMD)
+//! The kernels in `bncg_graph::kernels` are the vectorized (SIMD)
 //! primitives under every hot row scan: the min-plus insertion blend, the
 //! sum and eccentricity reductions, and the fused k-term batch blend. Each
 //! property generates random compact rows (with `UNREACHABLE` sentinels
@@ -13,8 +13,8 @@
 
 use bncg::graph::kernels::{
     self, blend_cost_ecc_scalar, blend_cost_sum_scalar, frontier_relax_scalar,
-    fused_blend_cost_scalar, gather_min_plus_scalar, min_blend_scalar, narrow_checked,
-    row_cost_scalar, swar, BlendTerm, Dist, RowCost, INF_SUM, MAX_FINITE_DIST, UNREACHABLE_D,
+    fused_blend_cost_scalar, gather_min_plus_scalar, narrow_checked, row_cost_scalar, BlendTerm,
+    Dist, RowCost, INF_SUM, MAX_FINITE_DIST, UNREACHABLE_D,
 };
 use bncg::graph::V;
 use proptest::prelude::*;
@@ -56,7 +56,7 @@ fn u32_row_reference(row: &[u32]) -> (u64, u64) {
     (sum, u64::from(mx))
 }
 
-/// Random compact row: lengths straddle every SIMD/SWAR lane boundary,
+/// Random compact row: lengths straddle every SIMD lane boundary,
 /// values straddle the saturation range, and sentinels appear with
 /// ~1/8 density.
 fn compact_row(max_len: usize) -> impl Strategy<Value = Vec<Dist>> {
@@ -104,29 +104,8 @@ fn check_blend_costs(base: &[Dist], via: &[Dist]) {
     let (wsum, wecc) = u32_blend_reference(&widen_row(base), &widen_row(via));
     assert_eq!(kernels::blend_cost_sum(base, via), wsum);
     assert_eq!(kernels::blend_cost_ecc(base, via), wecc);
-    assert_eq!(swar::blend_cost_sum(base, via), wsum);
-    assert_eq!(swar::blend_cost_ecc(base, via), wecc);
     assert_eq!(blend_cost_sum_scalar(base, via), wsum);
     assert_eq!(blend_cost_ecc_scalar(base, via), wecc);
-}
-
-/// Body of `min_blend_matches_u32_reference`: the in-place min-blend
-/// writes exactly `min(base, 1 + via)` lane by lane.
-fn check_min_blend(base: &[Dist], via: &[Dist]) {
-    let wide: Vec<u32> = widen_row(base)
-        .iter()
-        .zip(widen_row(via).iter())
-        .map(|(&b, &v)| b.min(v.saturating_add(1)))
-        .collect();
-    let mut dispatched = base.to_vec();
-    kernels::min_blend(&mut dispatched, via);
-    assert_eq!(widen_row(&dispatched), wide);
-    let mut via_swar = base.to_vec();
-    swar::min_blend(&mut via_swar, via);
-    assert_eq!(via_swar, dispatched);
-    let mut via_scalar = base.to_vec();
-    min_blend_scalar(&mut via_scalar, via);
-    assert_eq!(via_scalar, dispatched);
 }
 
 /// Body of `row_cost_matches_u32_reference`.
@@ -142,7 +121,6 @@ fn check_row_cost(row: &[Dist]) {
         },
         wecc
     );
-    assert_eq!(swar::row_cost(row), c);
     assert_eq!(row_cost_scalar(row), c);
 }
 
@@ -230,15 +208,11 @@ fn check_fused_batch(row0: &[Dist], seed: u64, k: usize) {
         wecc
     );
 
-    // And the three compact strata agree bit for bit.
+    // And the compact strata agree bit for bit.
     let mut scalar16 = row0.to_vec();
     let sc = fused_blend_cost_scalar(&mut scalar16, &terms);
-    let mut swar16 = row0.to_vec();
-    let wc = swar::fused_blend_cost(&mut swar16, &terms);
     assert_eq!(scalar16, fused);
     assert_eq!(sc, fc);
-    assert_eq!(swar16, fused);
-    assert_eq!(wc, fc);
 }
 
 /// Independent u32 reference for the masked gather min-plus: widen, gather,
@@ -309,12 +283,11 @@ fn frontier_case(
     })
 }
 
-/// Body of `gather_min_plus_matches_u32_reference`: all three strata agree
+/// Body of `gather_min_plus_matches_u32_reference`: both strata agree
 /// with the widened reference, argmin included.
 fn check_gather_min_plus(row: &[Dist], idx: &[V]) {
     let expect = u32_gather_reference(row, idx);
     assert_eq!(kernels::gather_min_plus(row, idx), expect, "dispatch");
-    assert_eq!(swar::gather_min_plus(row, idx), expect, "swar");
     assert_eq!(gather_min_plus_scalar(row, idx), expect, "scalar");
 }
 
@@ -337,12 +310,9 @@ fn check_frontier_relax(row: &[Dist], idx: &[V], seg: &[u32], seed: u64) {
     let mut a = init.clone();
     kernels::frontier_relax(row, idx, seg, &mut a);
     assert_eq!(a, expect, "dispatch");
-    let mut b = init.clone();
-    swar::frontier_relax(row, idx, seg, &mut b);
-    assert_eq!(b, expect, "swar");
-    let mut c = init;
-    frontier_relax_scalar(row, idx, seg, &mut c);
-    assert_eq!(c, expect, "scalar");
+    let mut b = init;
+    frontier_relax_scalar(row, idx, seg, &mut b);
+    assert_eq!(b, expect, "scalar");
 }
 
 proptest! {
@@ -365,12 +335,6 @@ proptest! {
     fn blend_costs_match_u32_reference(pair in row_pair(200)) {
         let (base, via) = pair;
         check_blend_costs(&base, &via);
-    }
-
-    #[test]
-    fn min_blend_matches_u32_reference(pair in row_pair(200)) {
-        let (base, via) = pair;
-        check_min_blend(&base, &via);
     }
 
     #[test]
@@ -397,7 +361,6 @@ fn frontier_kernels_handle_degenerate_frontiers() {
         kernels::gather_min_plus(&row, &[]),
         (UNREACHABLE_D, u32::MAX)
     );
-    assert_eq!(swar::gather_min_plus(&row, &[]), (UNREACHABLE_D, u32::MAX));
     assert_eq!(gather_min_plus_scalar(&row, &[]), (UNREACHABLE_D, u32::MAX));
     // Single-element frontiers, finite and sentinel.
     check_gather_min_plus(&row, &[0]);
