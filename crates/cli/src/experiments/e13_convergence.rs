@@ -24,9 +24,8 @@ use rand::SeedableRng;
 
 use crate::md::{f3, Table};
 
-/// Streams one round-engine run under a `--game` variant rule set into
-/// the report (and `--metrics`, when set). The basic game keeps its own
-/// traced path in [`run`] so the default report stays byte-stable.
+/// Streams one round-engine run under the `--game` rule set into the
+/// report (and `--metrics`, when set).
 fn variant_stream<R: bncg_core::rules::GameRules>(
     out: &mut String,
     opts: &super::RunOpts,
@@ -312,7 +311,7 @@ pub fn run(opts: &super::RunOpts) -> String {
     }
     out.push_str(&wc.render());
 
-    // Streaming round-stats pipeline: one traced round-based run per
+    // Streaming round-stats pipeline: one round-engine run on the
     // largest size, every round emitted as a structured record. The
     // summary table digests the stream; `--metrics <path>` additionally
     // persists it as JSON Lines. `--game` swaps the rule set the
@@ -322,18 +321,7 @@ pub fn run(opts: &super::RunOpts) -> String {
     let start = bncg_graph::generators::random::random_connected(&mut rng, n, n / 4);
     match opts.game {
         super::GameChoice::Basic => {
-            let mut sink = bncg_dynamics::MemorySink::new();
-            let _ = bncg_dynamics::run_traced_rounds_with_sink::<SumObjective>(
-                &start,
-                bncg_dynamics::Response::Best,
-                RoundConfig::default().max_rounds,
-                &mut sink,
-            );
-            out.push_str(&format!(
-                "\nStreaming round records (one traced round-based run, n = {n}):\n\n"
-            ));
-            out.push_str(&crate::md::round_summary(&sink.records));
-            write_metrics(&mut out, opts, &sink.records);
+            variant_stream(&mut out, opts, &start, n, SumObjective);
             service_lab(&mut out, opts, &start, SumObjective);
         }
         super::GameChoice::Budget(cap) => {

@@ -11,14 +11,13 @@
 
 use bncg_core::context::EvalContext;
 use bncg_core::rules::GameRules;
-use bncg_graph::dynamic::repair_phase_totals;
 use bncg_graph::{Graph, V};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::convergence::StateLog;
-use crate::sink::{MetricsSink, NullSink, RoundRecord};
+use crate::sink::{emit_record, MetricsSink, NullSink, SessionBook};
 
 /// Agent activation order within a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -132,12 +131,13 @@ impl<R: GameRules> SwapDynamics<R> {
         self.run_with_sink(start, rng, &mut NullSink)
     }
 
-    /// [`run`](Self::run), additionally pushing one [`RoundRecord`] per
-    /// executed round into `sink` (see [`crate::sink`]). Sequential play
-    /// has no conflict resolution, so each record reports `proposed ==
-    /// applied` and `conflicted == 0`. An active sink forces the base
-    /// matrix (for the social-cost reading), which the plain `run` leaves
-    /// lazy — use [`NullSink`] to keep the untraced behavior.
+    /// [`run`](Self::run), additionally pushing one
+    /// [`RoundRecord`](crate::sink::RoundRecord) per executed round into
+    /// `sink` (see [`crate::sink`]). Sequential play has no conflict
+    /// resolution, so each record reports `proposed == applied` and
+    /// `conflicted == 0`. An active sink forces the base matrix (for the
+    /// social-cost reading), which the plain `run` leaves lazy — use
+    /// [`NullSink`] to keep the untraced behavior.
     pub fn run_with_sink<G: Rng>(
         &self,
         start: &Graph,
@@ -153,13 +153,7 @@ impl<R: GameRules> SwapDynamics<R> {
         }
         let mut moves = 0usize;
         let mut order: Vec<V> = (0..n as V).collect();
-        let mut prev_cost = if sink.active() {
-            self.rules.social_cost(&ctx)
-        } else {
-            None
-        };
-        let mut round_stats = ctx.dynamic_stats_snapshot();
-        let mut round_phases = repair_phase_totals();
+        let mut book = SessionBook::open(sink, &self.rules, &ctx, ctx.dynamic_stats_snapshot());
         for round in 0..self.config.max_rounds {
             let mut round_moves = 0usize;
             let mut cycled: Option<usize> = None;
@@ -212,48 +206,29 @@ impl<R: GameRules> SwapDynamics<R> {
                     }
                 }
             }
-            let converged = round_moves == 0 && cycled.is_none();
-            if sink.active() {
-                let stats_now = ctx.dynamic_stats_snapshot();
-                let phases_now = repair_phase_totals();
-                let cost = self.rules.social_cost(&ctx);
-                sink.record_round(&RoundRecord {
-                    round: round + 1,
-                    proposed: round_moves,
-                    applied: round_moves,
-                    conflicted: 0,
-                    social_cost: cost,
-                    cost_delta: match (prev_cost, cost) {
-                        (Some(a), Some(b)) => Some(b as i64 - a as i64),
-                        _ => None,
-                    },
-                    cycle_period: cycled,
-                    converged,
-                    repair: stats_now.delta_since(&round_stats),
-                    phases: phases_now.delta_since(&round_phases),
-                });
-                round_stats = stats_now;
-                round_phases = phases_now;
-                prev_cost = cost;
-            }
-            if let Some(period) = cycled {
+            let ended = match cycled {
+                Some(period) => Some((Outcome::Cycled, Some(period))),
+                None if round_moves == 0 => Some((Outcome::Converged, None)),
+                None => None,
+            };
+            emit_record(
+                sink,
+                &self.rules,
+                &ctx,
+                &mut book,
+                round + 1,
+                round_moves,
+                round_moves,
+                ended,
+            );
+            if let Some((outcome, cycle_period)) = ended {
                 sink.finish();
                 return DynamicsResult {
                     graph: g,
-                    outcome: Outcome::Cycled,
+                    outcome,
                     rounds: round + 1,
                     moves,
-                    cycle_period: Some(period),
-                };
-            }
-            if converged {
-                sink.finish();
-                return DynamicsResult {
-                    graph: g,
-                    outcome: Outcome::Converged,
-                    rounds: round + 1,
-                    moves,
-                    cycle_period: None,
+                    cycle_period,
                 };
             }
         }

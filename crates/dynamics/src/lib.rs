@@ -51,7 +51,6 @@ pub mod recovery;
 pub mod rounds;
 pub mod service;
 pub mod sink;
-pub mod trajectory;
 
 /// Fault-injection seam: with the `testkit` feature this resolves to the
 /// deterministic fault registry's `fire` (see `bncg_testkit::faults`);
@@ -77,7 +76,4 @@ pub use service::{
     AuditPolicy, AuditStats, JournalOptions, ResumeReport, RoundService, ServiceConfig,
     SessionReport,
 };
-pub use sink::{JsonlSink, MemorySink, MetricsSink, NullSink, RetryPolicy, RetrySink, RoundRecord};
-pub use trajectory::{
-    run_traced, run_traced_rounds, run_traced_rounds_with_sink, Trajectory, TrajectoryPoint,
-};
+pub use sink::{JsonlSink, MemorySink, MetricsSink, NullSink, RoundRecord};

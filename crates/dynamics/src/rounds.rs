@@ -89,7 +89,7 @@ pub struct RoundResult {
 }
 
 /// One resolved activation round (the unit [`step_round`] returns to
-/// hand-stepped loops and the traced variant).
+/// hand-stepped loops such as the conformance harness's stepwise leg).
 #[derive(Debug, Clone)]
 pub struct RoundStep {
     /// Agents that proposed an improving move against the snapshot.
@@ -101,9 +101,15 @@ pub struct RoundStep {
     pub batch: Vec<SwapApplied>,
 }
 
-/// Deterministic conflict resolution: scan `proposals` (indexed by agent)
-/// in ascending agent order and keep every move whose edge footprint is
-/// disjoint from all earlier accepted footprints.
+/// Deterministic conflict resolution under `rules`: scan `proposals`
+/// (indexed by agent) in ascending agent order and keep every move whose
+/// edge footprint is disjoint from all earlier accepted footprints and
+/// which the rule set's barrier-time veto
+/// ([`GameRules::legal_in_batch`], checked against the moves already
+/// accepted this round) allows. The veto lets rule sets forbid
+/// interactions footprints cannot see (two disjoint insertions both
+/// raising one vertex's degree past its budget); the basic game keeps
+/// the trait's default, which always accepts.
 ///
 /// The accepted-footprint membership test is a hash set, so a round with
 /// `a` accepted moves costs `O(a)` expected edge probes instead of the
@@ -114,27 +120,6 @@ pub struct RoundStep {
 /// "collides with any earlier accepted footprint" question the linear
 /// scan answered (`tests::hashed_resolution_matches_linear_reference`
 /// pins this on dense conflict rounds).
-pub fn resolve_round(proposals: &[Option<ScoredSwap>]) -> Vec<ScoredSwap> {
-    let mut accepted: Vec<ScoredSwap> = Vec::new();
-    let mut touched: HashSet<Edge> = HashSet::with_capacity(2 * proposals.iter().flatten().count());
-    for s in proposals.iter().flatten() {
-        let fp = s.mv.footprint();
-        if fp.iter().any(|e| touched.contains(e)) {
-            continue;
-        }
-        touched.extend(fp);
-        accepted.push(*s);
-    }
-    accepted
-}
-
-/// [`resolve_round`] with the rule set's barrier-time legality veto:
-/// after the footprint-disjointness test, each surviving move is also
-/// checked against [`GameRules::legal_in_batch`] with the moves already
-/// accepted this round — the hook that lets rule sets forbid interactions
-/// footprints cannot see (two disjoint insertions both raising one
-/// vertex's degree past its budget). For the basic game the hook always
-/// accepts, so this is move-for-move identical to [`resolve_round`].
 pub fn resolve_round_with<R: GameRules>(
     rules: &R,
     ctx: &EvalContext,
@@ -264,6 +249,14 @@ mod tests {
         }
     }
 
+    /// Resolution under the basic game on an `n`-cycle: its
+    /// `legal_in_batch` is the no-veto default, so footprint
+    /// disjointness alone decides.
+    fn resolve(n: usize, proposals: &[Option<ScoredSwap>]) -> Vec<ScoredSwap> {
+        let ctx = EvalContext::new(&classic::cycle(n));
+        resolve_round_with(&SumObjective, &ctx, proposals)
+    }
+
     #[test]
     fn resolution_prefers_lowest_agent_index() {
         // Agents 0 and 2 both want edge {0,2}-adjacent moves that collide.
@@ -273,7 +266,7 @@ mod tests {
             Some(scored(2, 0, 3)), // footprint {02, 23} — collides on 02
             Some(scored(3, 2, 5)), // footprint {23, 35} — disjoint from {01, 02}
         ];
-        let accepted = resolve_round(&proposals);
+        let accepted = resolve(8, &proposals);
         let agents: Vec<u32> = accepted.iter().map(|s| s.mv.v).collect();
         assert_eq!(agents, vec![0, 3]);
     }
@@ -287,7 +280,7 @@ mod tests {
             Some(scored(3, 4, 5)),
             Some(scored(4, 3, 6)), // {34} collides with agent 3's deletion
         ];
-        let accepted = resolve_round(&proposals);
+        let accepted = resolve(8, &proposals);
         let agents: Vec<u32> = accepted.iter().map(|s| s.mv.v).collect();
         assert_eq!(agents, vec![0, 3]);
     }
@@ -350,7 +343,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let hashed = resolve_round(&proposals);
+            let hashed = resolve(n as usize, &proposals);
             let linear = resolve_round_linear_reference(&proposals);
             assert!(!hashed.is_empty(), "dense round must accept something");
             assert!(

@@ -56,89 +56,19 @@ use bncg_core::context::EvalContext;
 use bncg_core::rules::GameRules;
 use bncg_core::swap::SwapMove;
 use bncg_graph::adjacency::SwapApplied;
-use bncg_graph::dynamic::{repair_phase_totals, RepairPhases, RepairStats};
+use bncg_graph::dynamic::RepairStats;
 use bncg_graph::{graph6, DistOverflow, Graph, V};
 
 use crate::convergence::StateLog;
 use crate::engine::Outcome;
 use crate::recovery::{self, Journal, JournalRecord, RecoveryError};
 use crate::rounds::{propose, resolve_round_with, RoundConfig, RoundResult};
-use crate::sink::{MetricsSink, NullSink, RoundRecord};
+use crate::sink::{emit_record, MetricsSink, NullSink, SessionBook};
 
 /// Configuration of a [`RoundService`]: the per-session round
 /// configuration (response rule, per-session round cap, cycle
 /// detection) — the same knobs as [`RoundDynamics`](crate::rounds::RoundDynamics).
 pub type ServiceConfig = RoundConfig;
-
-/// Session-local record bookkeeping: the previous round's social cost and
-/// the counter snapshots the next record's deltas are taken against.
-struct SessionBook {
-    prev_cost: Option<u64>,
-    round_stats: RepairStats,
-    round_phases: RepairPhases,
-}
-
-impl SessionBook {
-    /// Opens a session's books against the state it starts from (the
-    /// social-cost read is skipped when `sink` discards records).
-    fn open<R: GameRules>(
-        sink: &dyn MetricsSink,
-        rules: &R,
-        ctx: &EvalContext,
-        stats_before: RepairStats,
-    ) -> Self {
-        SessionBook {
-            prev_cost: if sink.active() {
-                rules.social_cost(ctx)
-            } else {
-                None
-            },
-            round_stats: stats_before,
-            round_phases: repair_phase_totals(),
-        }
-    }
-}
-
-/// Emits one [`RoundRecord`] for the round just played — shared by live
-/// and replay sessions. The social-cost reading goes through the rule
-/// set (the basic game reads the maintained matrix; variant games
-/// account their own way).
-#[allow(clippy::too_many_arguments)]
-fn emit_record<R: GameRules>(
-    sink: &mut dyn MetricsSink,
-    rules: &R,
-    ctx: &EvalContext,
-    book: &mut SessionBook,
-    round: usize,
-    proposed: usize,
-    applied: usize,
-    ended: Option<(Outcome, Option<usize>)>,
-) {
-    if !sink.active() {
-        return;
-    }
-    let stats_now = ctx.dynamic_stats_snapshot();
-    let phases_now = repair_phase_totals();
-    let cost = rules.social_cost(ctx);
-    sink.record_round(&RoundRecord {
-        round,
-        proposed,
-        applied,
-        conflicted: proposed - applied,
-        social_cost: cost,
-        cost_delta: match (book.prev_cost, cost) {
-            (Some(a), Some(b)) => Some(b as i64 - a as i64),
-            _ => None,
-        },
-        cycle_period: ended.and_then(|(_, period)| period),
-        converged: matches!(ended, Some((Outcome::Converged, _))),
-        repair: stats_now.delta_since(&book.round_stats),
-        phases: phases_now.delta_since(&book.round_phases),
-    });
-    book.round_stats = stats_now;
-    book.round_phases = phases_now;
-    book.prev_cost = cost;
-}
 
 /// Report of one [`RoundService::run_session`] call.
 #[derive(Debug, Clone)]
@@ -671,7 +601,8 @@ impl<R: GameRules> RoundService<R> {
 
     /// Runs rounds from the current state until the dynamics terminate
     /// (converged / cycled / per-session cap) or the service is paused or
-    /// stopped, streaming one [`RoundRecord`] per round into `sink`.
+    /// stopped, streaming one [`RoundRecord`](crate::sink::RoundRecord)
+    /// per round into `sink`.
     ///
     /// A single session from a fresh start *is*
     /// [`RoundDynamics::run_with_sink`](crate::rounds::RoundDynamics::run_with_sink)
@@ -802,11 +733,11 @@ impl<R: GameRules> RoundService<R> {
 
     /// Streams externally recorded rounds — traffic replay — through the
     /// service's barrier machinery: each round of `stream` is applied as
-    /// one batch, booked through the same [`RoundRecord`] path as live
+    /// one batch, booked through the same
+    /// [`RoundRecord`](crate::sink::RoundRecord) path as live
     /// rounds, and repaired into the maintained matrix. Every round must
     /// be pairwise footprint-disjoint and valid against the state its
-    /// predecessors left behind — exactly what
-    /// [`resolve_round`](crate::rounds::resolve_round)
+    /// predecessors left behind — exactly what [`resolve_round_with`]
     /// guarantees for live rounds and what recorded round streams carry
     /// by construction.
     ///
@@ -933,7 +864,7 @@ impl<R: GameRules> RoundService<R> {
 mod tests {
     use super::*;
     use crate::rounds::RoundDynamics;
-    use crate::sink::MemorySink;
+    use crate::sink::{MemorySink, RoundRecord};
     use bncg_core::objective::{MaxObjective, SumObjective};
     use bncg_graph::generators::classic;
 

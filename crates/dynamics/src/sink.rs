@@ -2,13 +2,17 @@
 //! round, pushed into a pluggable sink.
 //!
 //! The engines' `*_with_sink` variants ([`crate::rounds::RoundDynamics::run_with_sink`],
-//! [`crate::engine::SwapDynamics::run_with_sink`],
-//! [`crate::trajectory::run_traced_rounds_with_sink`]) emit a
-//! [`RoundRecord`] after every round: proposal/acceptance counts, the
+//! [`crate::engine::SwapDynamics::run_with_sink`]) and the round
+//! service's sessions ([`crate::service::RoundService::run_session`],
+//! [`replay_session`](crate::service::RoundService::replay_session)) emit
+//! a [`RoundRecord`] after every round: proposal/acceptance counts, the
 //! social cost and its delta, convergence/cycle status, and the round's
 //! slice of the dynamic-distance counters — both the per-`DynamicApsp`
 //! [`RepairStats`] delta and the process-global repair-phase timing delta
 //! ([`RepairPhases`], all zeros when the `telemetry` feature is off).
+//! Every engine builds its records through the one crate-private builder
+//! here (`SessionBook` + `emit_record`), so the sequential and round
+//! streams cannot drift apart in how they book a round.
 //!
 //! Records serialize to JSON Lines through [`RoundRecord::to_jsonl`] /
 //! [`RoundRecord::from_jsonl`] — hand-rolled over
@@ -25,8 +29,12 @@
 
 use std::io::{self, Write};
 
-use bncg_graph::dynamic::{RepairPhases, RepairStats};
+use bncg_core::context::EvalContext;
+use bncg_core::rules::GameRules;
+use bncg_graph::dynamic::{repair_phase_totals, RepairPhases, RepairStats};
 use bncg_telemetry::json::{self, Json};
+
+use crate::engine::Outcome;
 
 /// One resolved activation round, as emitted by the `*_with_sink`
 /// engine variants.
@@ -281,128 +289,78 @@ impl<W: Write> MetricsSink for JsonlSink<W> {
     }
 }
 
-/// Backoff schedule of a [`RetrySink`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Retries per record after the first failed attempt; past them the
-    /// error sticks and the sink goes quiet like [`JsonlSink`].
-    pub max_retries: u32,
-    /// Delay before the first retry; each further retry doubles it
-    /// (exponential backoff).
-    pub base_delay: std::time::Duration,
+/// Record bookkeeping of one run or session: the previous round's social
+/// cost and the counter snapshots the next record's deltas are taken
+/// against. With [`emit_record`] it is the one record builder every
+/// engine shares.
+pub(crate) struct SessionBook {
+    prev_cost: Option<u64>,
+    round_stats: RepairStats,
+    round_phases: RepairPhases,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_delay: std::time::Duration::from_millis(10),
-        }
-    }
-}
-
-/// [`JsonlSink`] semantics with bounded retry-with-backoff in front of
-/// the sticky error: transient write failures (NFS hiccup, rotating log
-/// collector) are retried up to [`RetryPolicy::max_retries`] times with
-/// exponentially growing delays, and only exhaustion makes the error
-/// stick. The sleep is injected (see [`with_sleeper`](Self::with_sleeper))
-/// so tests drive the backoff with a deterministic fake clock.
-pub struct RetrySink<W: Write> {
-    writer: W,
-    policy: RetryPolicy,
-    sleeper: Box<dyn FnMut(std::time::Duration) + Send>,
-    error: Option<io::Error>,
-    retries: u64,
-}
-
-impl<W: Write> std::fmt::Debug for RetrySink<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RetrySink")
-            .field("policy", &self.policy)
-            .field("error", &self.error)
-            .field("retries", &self.retries)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<W: Write> RetrySink<W> {
-    /// Retrying sink over `writer`, sleeping on the real clock.
-    pub fn new(writer: W, policy: RetryPolicy) -> Self {
-        Self::with_sleeper(writer, policy, Box::new(std::thread::sleep))
-    }
-
-    /// [`new`](Self::new) with an injected sleep function — the seam the
-    /// deterministic backoff tests use (record the durations instead of
-    /// sleeping).
-    pub fn with_sleeper(
-        writer: W,
-        policy: RetryPolicy,
-        sleeper: Box<dyn FnMut(std::time::Duration) + Send>,
+impl SessionBook {
+    /// Opens the books against the state a run or session starts from
+    /// (the social-cost read is skipped when `sink` discards records).
+    pub(crate) fn open<R: GameRules>(
+        sink: &dyn MetricsSink,
+        rules: &R,
+        ctx: &EvalContext,
+        stats_before: RepairStats,
     ) -> Self {
-        RetrySink {
-            writer,
-            policy,
-            sleeper,
-            error: None,
-            retries: 0,
-        }
-    }
-
-    /// The first unrecovered I/O error, if retries were exhausted.
-    pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Total retries performed over the sink's lifetime (successful ones
-    /// included).
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-
-    /// Runs `op` with retry-with-backoff; on exhaustion the last error
-    /// sticks.
-    fn with_retries(&mut self, mut op: impl FnMut(&mut W) -> io::Result<()>) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut attempt = 0u32;
-        loop {
-            match op(&mut self.writer) {
-                Ok(()) => return,
-                Err(e) if attempt < self.policy.max_retries => {
-                    let _ = e;
-                    (self.sleeper)(self.policy.base_delay * 2u32.pow(attempt));
-                    attempt += 1;
-                    self.retries += 1;
-                    bncg_telemetry::counter!("sink.retries").incr();
-                }
-                Err(e) => {
-                    bncg_telemetry::counter!("sink.giveups").incr();
-                    self.error = Some(e);
-                    return;
-                }
-            }
+        SessionBook {
+            prev_cost: if sink.active() {
+                rules.social_cost(ctx)
+            } else {
+                None
+            },
+            round_stats: stats_before,
+            round_phases: repair_phase_totals(),
         }
     }
 }
 
-impl<W: Write> MetricsSink for RetrySink<W> {
-    fn record_round(&mut self, record: &RoundRecord) {
-        let line = record.to_jsonl();
-        // The whole line is re-sent per attempt: a failed write may have
-        // landed a partial prefix, but JSONL consumers already tolerate
-        // a torn line, and each attempt is a single `write_all`.
-        self.with_retries(|w| writeln!(w, "{line}"));
+/// Emits one [`RoundRecord`] for the round just played, if `sink` is
+/// active. `ended` is the round's terminal verdict, when it has one: a
+/// [`Outcome::Converged`] round sets `converged`, and a cycle-closing
+/// round carries its revisit period. The social-cost reading goes
+/// through the rule set (the basic game reads the maintained matrix;
+/// variant games account their own way).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn emit_record<R: GameRules>(
+    sink: &mut dyn MetricsSink,
+    rules: &R,
+    ctx: &EvalContext,
+    book: &mut SessionBook,
+    round: usize,
+    proposed: usize,
+    applied: usize,
+    ended: Option<(Outcome, Option<usize>)>,
+) {
+    if !sink.active() {
+        return;
     }
-
-    fn finish(&mut self) {
-        self.with_retries(|w| w.flush());
-    }
+    let stats_now = ctx.dynamic_stats_snapshot();
+    let phases_now = repair_phase_totals();
+    let cost = rules.social_cost(ctx);
+    sink.record_round(&RoundRecord {
+        round,
+        proposed,
+        applied,
+        conflicted: proposed - applied,
+        social_cost: cost,
+        cost_delta: match (book.prev_cost, cost) {
+            (Some(a), Some(b)) => Some(b as i64 - a as i64),
+            _ => None,
+        },
+        cycle_period: ended.and_then(|(_, period)| period),
+        converged: matches!(ended, Some((Outcome::Converged, _))),
+        repair: stats_now.delta_since(&book.round_stats),
+        phases: phases_now.delta_since(&book.round_phases),
+    });
+    book.round_stats = stats_now;
+    book.round_phases = phases_now;
+    book.prev_cost = cost;
 }
 
 #[cfg(test)]
@@ -522,93 +480,5 @@ pub(crate) mod tests {
         for line in out.lines() {
             RoundRecord::from_jsonl(line).expect("each line parses");
         }
-    }
-
-    /// Writer that fails its first `failures` write calls, then succeeds
-    /// forever — the transient-hiccup simulation behind the retry tests.
-    /// The error kind must NOT be `Interrupted`: `write_all` retries that
-    /// kind internally without ever surfacing it to the sink's loop.
-    struct FlakyWriter {
-        failures: usize,
-        calls: usize,
-        written: Vec<u8>,
-    }
-
-    impl Write for FlakyWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.calls += 1;
-            if self.calls <= self.failures {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "hiccup"));
-            }
-            self.written.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    type SleepLog = std::sync::Arc<std::sync::Mutex<Vec<std::time::Duration>>>;
-
-    fn recording_sleeper() -> (Box<dyn FnMut(std::time::Duration) + Send>, SleepLog) {
-        let sleeps = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let handle = std::sync::Arc::clone(&sleeps);
-        (Box::new(move |d| handle.lock().unwrap().push(d)), sleeps)
-    }
-
-    #[test]
-    fn retry_sink_recovers_from_transient_failures_with_exponential_backoff() {
-        let ms = std::time::Duration::from_millis;
-        let (sleeper, sleeps) = recording_sleeper();
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_delay: ms(10),
-        };
-        let mut sink = RetrySink::with_sleeper(
-            FlakyWriter {
-                failures: 2,
-                calls: 0,
-                written: Vec::new(),
-            },
-            policy,
-            sleeper,
-        );
-        sink.record_round(&sample());
-        sink.finish();
-        assert!(sink.error().is_none(), "two hiccups fit in three retries");
-        assert_eq!(sink.retries(), 2);
-        // Deterministic backoff schedule: base, then doubled.
-        assert_eq!(*sleeps.lock().unwrap(), vec![ms(10), ms(20)]);
-        let out = String::from_utf8(sink.into_inner().written).expect("utf8");
-        assert_eq!(out.lines().count(), 1);
-        RoundRecord::from_jsonl(out.lines().next().unwrap()).expect("record survives retries");
-    }
-
-    #[test]
-    fn retry_sink_error_sticks_only_after_exhaustion() {
-        let ms = std::time::Duration::from_millis;
-        let (sleeper, sleeps) = recording_sleeper();
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_delay: ms(5),
-        };
-        let mut sink = RetrySink::with_sleeper(
-            FlakyWriter {
-                failures: usize::MAX, // never recovers
-                calls: 0,
-                written: Vec::new(),
-            },
-            policy,
-            sleeper,
-        );
-        sink.record_round(&sample());
-        let err = sink.error().expect("exhausted retries must stick");
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert_eq!(*sleeps.lock().unwrap(), vec![ms(5), ms(10)]);
-        // Sticky: further records neither write nor sleep.
-        sink.record_round(&sample());
-        sink.finish();
-        assert_eq!(sleeps.lock().unwrap().len(), 2);
-        assert!(sink.into_inner().written.is_empty());
     }
 }

@@ -204,12 +204,20 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Both formats read
+/// through this module (round records, journal lines) nest at most 3
+/// levels; the cap turns adversarially deep input into an error instead
+/// of a stack overflow in the recursive descent.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one complete JSON value; trailing whitespace is allowed,
-/// trailing garbage is an error.
+/// trailing garbage is an error, and so is nesting deeper than 64
+/// arrays/objects.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -223,6 +231,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -263,8 +273,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -442,6 +463,20 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let deep = 100_000;
+        let array = "[".repeat(deep) + &"]".repeat(deep);
+        assert!(parse(&array).is_err());
+        let object = "{\"a\":".repeat(deep) + "1" + &"}".repeat(deep);
+        assert!(parse(&object).is_err());
+        // The cap itself still parses; one level more does not.
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&past_cap).is_err());
     }
 
     #[test]

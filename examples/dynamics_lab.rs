@@ -13,6 +13,7 @@
 //! ARCHITECTURE.md § Observability for the schema).
 
 use bncg::dynamics::engine::{DynamicsConfig, Response, Schedule};
+use bncg::dynamics::rounds::{RoundConfig, RoundDynamics};
 use bncg::game::context::EvalContext;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
 use bncg::game::{MaxGame, SumGame};
@@ -120,23 +121,22 @@ fn main() {
     {
         let file = std::fs::File::create(path).expect("create metrics file");
         let mut sink = bncg::dynamics::JsonlSink::new(std::io::BufWriter::new(file));
-        let t = bncg::dynamics::run_traced_rounds_with_sink::<SumObjective>(
-            &start,
-            Response::Best,
-            100,
-            &mut sink,
-        );
+        let engine = RoundDynamics::<SumObjective>::new(RoundConfig {
+            max_rounds: 100,
+            ..RoundConfig::default()
+        });
+        let result = engine.run_with_sink(&start, &mut sink);
         if let Some(e) = sink.error() {
             // The run itself is fine — but the JSONL artifact is not, and
             // a silent partial file poisons downstream analysis. Be loud.
             eprintln!("metrics write to {path} failed: {e}");
             std::process::exit(1);
-        } else {
-            println!(
-                "\nround metrics: {} JSONL records written to {path} (converged = {})",
-                t.points.len(),
-                t.converged
-            );
         }
+        let lines = std::fs::read_to_string(path).expect("read metrics back");
+        assert_eq!(lines.lines().count(), result.rounds, "one record per round");
+        println!(
+            "\nround metrics: {} JSONL records written to {path} (outcome {:?})",
+            result.rounds, result.outcome
+        );
     }
 }

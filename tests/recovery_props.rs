@@ -9,8 +9,9 @@
 //! asserting the final graph, the outcome, and the continuation's
 //! [`RoundRecord`] stream are identical to the uninterrupted run (modulo
 //! the wall-clock phase timings, which are never byte-stable). Torn
-//! tails (a crash mid-`write`) must be truncated, interior corruption
-//! and CRC-valid records naming impossible moves must be refused, and
+//! tails (a crash mid-`write`) must be truncated, interior corruption,
+//! CRC-valid records naming impossible moves and CRC-valid lines nested
+//! too deep to parse must be refused, and
 //! resume must restart from the last checkpoint when one exists. Warm
 //! sessions of one service are held to fresh engine runs the same way.
 
@@ -19,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bncg::dynamics::engine::{Outcome, Response};
-use bncg::dynamics::recovery::JournalRecord;
+use bncg::dynamics::recovery::{crc32, read_journal, JournalRecord};
 use bncg::dynamics::rounds::{RoundConfig, RoundDynamics};
 use bncg::dynamics::service::{JournalOptions, RoundService, ServiceConfig};
 use bncg::dynamics::sink::{MemorySink, RoundRecord};
@@ -422,6 +423,20 @@ fn interior_corruption_is_refused_not_papered_over() {
         Err(RecoveryError::Corrupt { line, .. }) => assert_eq!(line, mid + 1),
         Err(other) => panic!("expected Corrupt, got {other}"),
         Ok(_) => panic!("interior corruption must be refused"),
+    }
+
+    // A resealed interior line nesting 100 000 arrays deep: the parser
+    // must refuse it, not recurse until the stack overflows.
+    let body = "[".repeat(100_000) + &"]".repeat(100_000);
+    lines[mid] = format!(
+        "{{\"crc\":\"{:08x}\",\"rec\":{body}}}",
+        crc32(body.as_bytes())
+    );
+    fs::write(&bad, lines.join("\n") + "\n").expect("write deep journal");
+    match read_journal(&bad) {
+        Err(RecoveryError::Corrupt { line, .. }) => assert_eq!(line, mid + 1),
+        Err(other) => panic!("deep line: expected Corrupt, got {other}"),
+        Ok(_) => panic!("a 100 000-deep interior line must be refused"),
     }
     fs::remove_file(&path).ok();
     fs::remove_file(&bad).ok();

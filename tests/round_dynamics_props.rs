@@ -18,7 +18,7 @@
 //!    every verdict — including the sharded candidate loop at `n` large
 //!    enough to fan out over the worker pool.
 
-use bncg::dynamics::rounds::{resolve_round, step_round};
+use bncg::dynamics::rounds::{resolve_round_with, step_round};
 use bncg::game::context::EvalContext;
 use bncg::game::evaluator::EdgeSwapScan;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
@@ -327,8 +327,10 @@ proptest! {
     fn resolution_is_deterministic_and_conflict_free(g in er_graph(24)) {
         let ctx = EvalContext::new(&g);
         let proposals = ctx.best_responses_par::<SumObjective>();
-        let a = resolve_round(&proposals);
-        let b = resolve_round(&proposals);
+        // The basic game's `legal_in_batch` is the no-veto default, so
+        // footprint disjointness alone decides acceptance.
+        let a = resolve_round_with(&SumObjective, &ctx, &proposals);
+        let b = resolve_round_with(&SumObjective, &ctx, &proposals);
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.mv, y.mv);
