@@ -132,7 +132,7 @@ fn bench_round_engine(c: &mut Criterion) {
 /// One batched ER replay at n = 2048 (the canonical `round_replay_batched_er`
 /// workload) runs between two telemetry snapshots; the per-phase histograms
 /// of the delta — stage-A marking, phase-1 walks, phase-2 settles, cost
-/// blends, full rebuilds — yield p50/p99 nanoseconds per repaired row,
+/// blends — yield p50/p99 nanoseconds per repaired row,
 /// reported via [`Criterion::report_scalar`] so they land in
 /// `BENCH_rounds.json` next to the timed medians. The ids live under
 /// `rounds/phase/…`, disjoint from every timed id, so existing consumers
@@ -152,7 +152,7 @@ fn bench_round_phases(c: &mut Criterion) {
     let before = telemetry::snapshot();
     black_box(replay_round_stream(&g0, &stream, true));
     let delta = telemetry::snapshot().delta_since(&before);
-    for phase in ["stage_a", "phase1", "phase2", "blend", "rebuild"] {
+    for phase in ["stage_a", "phase1", "phase2", "blend"] {
         let hist = delta
             .histogram(&format!("apsp.{phase}_ns"))
             .cloned()

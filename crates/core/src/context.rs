@@ -53,7 +53,6 @@ fn par_edge_block() -> usize {
 pub struct EvalContext {
     csr: Csr,
     base: OnceLock<DynamicApsp>,
-    max_repair_rows: Option<usize>,
 }
 
 impl EvalContext {
@@ -67,7 +66,6 @@ impl EvalContext {
         EvalContext {
             csr,
             base: OnceLock::new(),
-            max_repair_rows: None,
         }
     }
 
@@ -104,9 +102,8 @@ impl EvalContext {
     /// a whole trajectory) is exposed through
     /// [`dynamic_stats_snapshot`](Self::dynamic_stats_snapshot) +
     /// [`RepairStats::delta_since`]: snapshot before the span, diff after,
-    /// and the cumulative counters (updates, incremental vs full rebuilds,
-    /// rows repaired/blended) cover every call in between — not just the
-    /// most recent one.
+    /// and the cumulative counters (updates, rows repaired/blended) cover
+    /// every call in between — not just the most recent one.
     ///
     /// # Examples
     /// ```
@@ -122,9 +119,8 @@ impl EvalContext {
     /// ctx.refresh_after(&g, &rec);
     /// // The context now scores the *post-move* graph …
     /// assert_eq!(ctx.agent_cost::<SumObjective>(0), s.new_cost);
-    /// // … and the move was serviced by row repair, not a rebuild.
-    /// let stats = ctx.dynamic_stats_snapshot();
-    /// assert_eq!((stats.incremental, stats.full_rebuilds), (1, 0));
+    /// // … and the move was serviced by row repair.
+    /// assert_eq!(ctx.dynamic_stats_snapshot().incremental, 1);
     /// ```
     pub fn refresh_after(&mut self, g: &Graph, applied: &SwapApplied) {
         g.refresh_csr(&mut self.csr);
@@ -150,16 +146,6 @@ impl EvalContext {
         if let Some(mut dyn_apsp) = self.base.take() {
             dyn_apsp.apply_batch(&self.csr, batch);
             let _ = self.base.set(dyn_apsp);
-        }
-    }
-
-    /// Overrides the dynamic subsystem's fallback threshold (rows repaired
-    /// per deletion before a full rebuild is cheaper); applies to the
-    /// current cached matrix and any built later.
-    pub fn set_max_repair_rows(&mut self, rows: usize) {
-        self.max_repair_rows = Some(rows);
-        if let Some(dyn_apsp) = self.base.get_mut() {
-            dyn_apsp.set_max_repair_rows(rows);
         }
     }
 
@@ -207,13 +193,7 @@ impl EvalContext {
     /// [`refresh_after`](EvalContext::refresh_after) keep it alive).
     pub fn base(&self) -> &DistanceMatrix {
         self.base
-            .get_or_init(|| {
-                let mut dyn_apsp = DynamicApsp::build(&self.csr);
-                if let Some(rows) = self.max_repair_rows {
-                    dyn_apsp.set_max_repair_rows(rows);
-                }
-                dyn_apsp
-            })
+            .get_or_init(|| DynamicApsp::build(&self.csr))
             .matrix()
     }
 
@@ -225,10 +205,7 @@ impl EvalContext {
     /// behavior: on `Ok` the matrix is built at most once.
     pub fn try_base(&self) -> Result<&DistanceMatrix, bncg_graph::DistOverflow> {
         if self.base.get().is_none() {
-            let mut dyn_apsp = DynamicApsp::try_build(&self.csr)?;
-            if let Some(rows) = self.max_repair_rows {
-                dyn_apsp.set_max_repair_rows(rows);
-            }
+            let dyn_apsp = DynamicApsp::try_build(&self.csr)?;
             // A concurrent base() may have won the race; either value is
             // the same deterministic build, so the loser is just dropped.
             let _ = self.base.set(dyn_apsp);

@@ -356,10 +356,9 @@ impl JournalRecord {
         let rest = line
             .strip_prefix("{\"crc\":\"")
             .ok_or("missing crc header")?;
-        if rest.len() < 8 {
-            return Err("crc header cut short".into());
-        }
-        let (hex, rest) = rest.split_at(8);
+        // Checked: a multi-byte character inside the first eight bytes
+        // must be refused, not split.
+        let (hex, rest) = rest.split_at_checked(8).ok_or("malformed crc header")?;
         let body = rest
             .strip_prefix("\",\"rec\":")
             .ok_or("malformed record envelope")?
@@ -715,7 +714,6 @@ pub(crate) struct ReplayedState {
     pub log: StateLog,
     /// `Round` records applied during replay.
     pub rounds_replayed: usize,
-    pub moves_replayed: usize,
     pub sessions_closed: usize,
     /// `Some(rounds already run)` when the journal ends inside a live
     /// session (crash mid-session): the next `run_session` continues it.
@@ -827,7 +825,6 @@ pub(crate) fn replay<R: GameRules>(
     let mut open: Option<OpenSession> = None;
     let mut rounds_in_session = 0usize;
     let mut rounds_replayed = 0usize;
-    let mut moves_replayed = 0usize;
     let mut sessions_closed = 0usize;
 
     for (idx, rec) in iter {
@@ -864,7 +861,6 @@ pub(crate) fn replay<R: GameRules>(
                     reason,
                 })?;
                 let batch: Vec<SwapApplied> = moves.iter().map(|mv| mv.apply(&mut g)).collect();
-                moves_replayed += batch.len();
                 if crate::recovery::graph_crc(&g) != *graph_crc {
                     return Err(RecoveryError::Mismatch(format!(
                         "graph diverged from record {} during replay",
@@ -896,7 +892,6 @@ pub(crate) fn replay<R: GameRules>(
                     if let Some(ctx) = live.as_mut() {
                         ctx.refresh_after(&g, &rec);
                     }
-                    moves_replayed += 1;
                 }
                 if crate::recovery::graph_crc(&g) != *graph_crc {
                     return Err(RecoveryError::Mismatch(format!(
@@ -962,7 +957,6 @@ pub(crate) fn replay<R: GameRules>(
         ctx,
         log,
         rounds_replayed,
-        moves_replayed,
         sessions_closed,
         midsession,
         used_checkpoint: last_ckpt.is_some(),

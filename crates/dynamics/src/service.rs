@@ -18,11 +18,9 @@
 //! [`MetricsSink`] without ever re-running the `O(n·m)` base APSP build
 //! that a fresh [`RoundDynamics`] run pays. Between sessions the caller
 //! [`perturb`](RoundService::perturb)s the network (each perturbation is
-//! an incremental repair, not a rebuild) and runs the next session;
-//! [`pause`](RoundService::pause) / [`stop`](RoundService::stop) bound a
-//! session cooperatively at round granularity. Sustained throughput —
-//! rounds serviced per second of engine time, the headline of
-//! `benches/service.rs` — is exposed as
+//! an incremental repair, not a rebuild) and runs the next session.
+//! Sustained throughput — rounds serviced per second of engine time, the
+//! headline of `benches/service.rs` — is exposed as
 //! [`sustained_rounds_per_sec`](RoundService::sustained_rounds_per_sec).
 //!
 //! # Crash safety and self-healing
@@ -77,9 +75,10 @@ pub struct SessionReport {
     /// single session from a fresh start this is exactly what
     /// [`RoundDynamics::run`](crate::rounds::RoundDynamics::run) returns.
     pub result: RoundResult,
-    /// Whether the session ended because the service was paused or
-    /// stopped rather than because the dynamics terminated (an
-    /// interrupted session reports [`Outcome::Capped`]).
+    /// Whether the session ended because a testkit kill point fired
+    /// (or had fired before the session began) rather than because the
+    /// dynamics terminated (an interrupted session reports
+    /// [`Outcome::Capped`]).
     pub interrupted: bool,
     /// Wall-clock spent inside the session.
     pub wall: Duration,
@@ -164,12 +163,8 @@ pub struct RoundService<R: GameRules> {
     log: StateLog,
     stats_origin: RepairStats,
     rounds_total: usize,
-    proposed_total: usize,
-    applied_total: usize,
     sessions_run: usize,
     busy: Duration,
-    paused: bool,
-    stopped: bool,
     /// Write-ahead journal, when attached. Errors are sticky inside the
     /// journal: a failing disk degrades journaling (see
     /// [`journal_error`](Self::journal_error)), never the dynamics.
@@ -270,8 +265,6 @@ impl<R: GameRules> RoundService<R> {
         let mut service = Self::assemble(st.config, st.g, st.ctx, rules);
         service.log = st.log;
         service.rounds_total = st.rounds_replayed;
-        service.proposed_total = st.moves_replayed;
-        service.applied_total = st.moves_replayed;
         service.sessions_run = st.sessions_closed;
         service.journal = Some(journal);
         service.checkpoint_every = st.checkpoint_every;
@@ -291,12 +284,8 @@ impl<R: GameRules> RoundService<R> {
             log: StateLog::new(),
             stats_origin,
             rounds_total: 0,
-            proposed_total: 0,
-            applied_total: 0,
             sessions_run: 0,
             busy: Duration::ZERO,
-            paused: false,
-            stopped: false,
             journal: None,
             checkpoint_every: 0,
             rounds_journaled: 0,
@@ -309,14 +298,6 @@ impl<R: GameRules> RoundService<R> {
             audit_cursor: 0,
             rules,
         }
-    }
-
-    /// Overrides the maintained matrix's fallback threshold (rows
-    /// repaired per deletion before a full rebuild is cheaper) — the
-    /// rebuild is deterministic too, so results are identical at either
-    /// extreme.
-    pub fn set_max_repair_rows(&mut self, rows: usize) {
-        self.ctx.set_max_repair_rows(rows);
     }
 
     /// Attaches a crash-safe write-ahead journal at `path` (truncating
@@ -449,7 +430,6 @@ impl<R: GameRules> RoundService<R> {
         });
         if crate::fault_point("service.kill.after_journal") {
             self.killed = true;
-            self.stopped = true;
         }
     }
 
@@ -510,11 +490,6 @@ impl<R: GameRules> RoundService<R> {
         self.sessions_run
     }
 
-    /// Proposals seen and moves applied since construction.
-    pub fn moves_total(&self) -> (usize, usize) {
-        (self.proposed_total, self.applied_total)
-    }
-
     /// Dynamic-distance counters of the maintained context accumulated
     /// over the whole service lifetime ([`RepairStats::delta_since`]
     /// construction).
@@ -522,11 +497,6 @@ impl<R: GameRules> RoundService<R> {
         self.ctx
             .dynamic_stats_snapshot()
             .delta_since(&self.stats_origin)
-    }
-
-    /// Engine time spent inside [`run_session`](Self::run_session) calls.
-    pub fn busy_time(&self) -> Duration {
-        self.busy
     }
 
     /// The service's headline number: rounds serviced per second of
@@ -542,34 +512,13 @@ impl<R: GameRules> RoundService<R> {
         Some(self.rounds_total as f64 / self.busy.as_secs_f64())
     }
 
-    /// Requests a cooperative halt: the running/next session returns at
-    /// the next round boundary (reported as `interrupted`) and further
-    /// sessions are no-ops until [`unpause`](Self::unpause).
-    pub fn pause(&mut self) {
-        self.paused = true;
-    }
-
-    /// Lifts a [`pause`](Self::pause). No-op on a stopped service.
-    pub fn unpause(&mut self) {
-        self.paused = false;
-    }
-
-    /// Permanently retires the service: every later session is a no-op.
-    pub fn stop(&mut self) {
-        self.stopped = true;
-    }
-
-    /// Whether [`stop`](Self::stop) was called.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
     /// Applies external swaps between sessions — traffic injection — each
     /// through the incremental single-swap repair (no rebuild). No-op
     /// moves are skipped; returns the number of swaps actually applied.
-    /// Clears the cycle log (the state genuinely changed).
+    /// Clears the cycle log (the state genuinely changed). A killed
+    /// service applies nothing.
     pub fn perturb(&mut self, swaps: &[SwapMove]) -> usize {
-        if self.stopped {
+        if self.killed {
             return 0;
         }
         let mut applied_moves: Vec<SwapMove> = Vec::new();
@@ -600,9 +549,9 @@ impl<R: GameRules> RoundService<R> {
     }
 
     /// Runs rounds from the current state until the dynamics terminate
-    /// (converged / cycled / per-session cap) or the service is paused or
-    /// stopped, streaming one [`RoundRecord`](crate::sink::RoundRecord)
-    /// per round into `sink`.
+    /// (converged / cycled / per-session cap) or a testkit kill point
+    /// fires, streaming one [`RoundRecord`](crate::sink::RoundRecord) per
+    /// round into `sink`. A killed service runs no rounds.
     ///
     /// A single session from a fresh start *is*
     /// [`RoundDynamics::run_with_sink`](crate::rounds::RoundDynamics::run_with_sink)
@@ -611,18 +560,9 @@ impl<R: GameRules> RoundService<R> {
     pub fn run_session(&mut self, sink: &mut dyn MetricsSink) -> SessionReport {
         let t0 = Instant::now();
         let stats_before = self.ctx.dynamic_stats_snapshot();
-        if self.paused || self.stopped {
+        if self.killed {
             sink.finish();
-            return self.report(
-                Outcome::Capped,
-                0,
-                0,
-                0,
-                None,
-                &stats_before,
-                true,
-                t0.elapsed(),
-            );
+            return self.report(Outcome::Capped, 0, 0, 0, None, &stats_before, t0.elapsed());
         }
         // A resumed mid-session run continues where the journal stopped:
         // the cycle log was reconstructed by replay, the session-start
@@ -643,12 +583,7 @@ impl<R: GameRules> RoundService<R> {
         let mut moves_applied = 0usize;
         let mut rounds = start_round;
         let mut session_end: Option<(Outcome, Option<usize>)> = None;
-        let mut interrupted = false;
         for round in start_round..self.config.max_rounds {
-            if self.paused || self.stopped {
-                interrupted = true;
-                break;
-            }
             // Audit before the sweep reads the matrix, so a divergence is
             // healed before any proposal or batch repair builds on it.
             self.run_audit_if_due();
@@ -657,7 +592,6 @@ impl<R: GameRules> RoundService<R> {
             moves_proposed += proposed;
             moves_applied += applied;
             if self.killed {
-                interrupted = true;
                 break;
             }
             if let Some(end) = ended {
@@ -677,7 +611,6 @@ impl<R: GameRules> RoundService<R> {
             moves_applied,
             cycle_period,
             &stats_before,
-            interrupted,
             t0.elapsed(),
         )
     }
@@ -744,9 +677,10 @@ impl<R: GameRules> RoundService<R> {
     /// Replay differs from [`run_session`](Self::run_session) in what it
     /// *decides*: nothing. The stream is fixed, so there is no proposal
     /// sweep, no convergence test, and no cycle termination — the session
-    /// drains the stream (reported as [`Outcome::Capped`]) unless paused
-    /// or stopped first. Replayed traffic changes the network, so the
-    /// cycle log is cleared like [`perturb`](Self::perturb) does. This is
+    /// drains the stream (reported as [`Outcome::Capped`]) unless a
+    /// testkit kill point fires first. Replayed traffic changes the
+    /// network, so the cycle log is cleared like
+    /// [`perturb`](Self::perturb) does. This is
     /// the entry the sustained-throughput benchmark and the CI service
     /// gate drive: it isolates the service's barrier cost (repair +
     /// bookkeeping + streaming, no per-session setup) from the
@@ -758,18 +692,9 @@ impl<R: GameRules> RoundService<R> {
     ) -> SessionReport {
         let t0 = Instant::now();
         let stats_before = self.ctx.dynamic_stats_snapshot();
-        if self.paused || self.stopped {
+        if self.killed {
             sink.finish();
-            return self.report(
-                Outcome::Capped,
-                0,
-                0,
-                0,
-                None,
-                &stats_before,
-                true,
-                t0.elapsed(),
-            );
+            return self.report(Outcome::Capped, 0, 0, 0, None, &stats_before, t0.elapsed());
         }
         self.log.clear();
         self.journal_session_start(true);
@@ -777,12 +702,7 @@ impl<R: GameRules> RoundService<R> {
         let mut moves_proposed = 0usize;
         let mut moves_applied = 0usize;
         let mut rounds = 0usize;
-        let mut interrupted = false;
         for round in stream {
-            if self.paused || self.stopped {
-                interrupted = true;
-                break;
-            }
             rounds += 1;
             moves_proposed += round.len();
             let batch: Vec<SwapApplied> = round.iter().map(|mv| mv.apply(&mut self.g)).collect();
@@ -795,7 +715,6 @@ impl<R: GameRules> RoundService<R> {
             let moves = self.journal.is_some().then(|| round.clone());
             self.journal_round_barrier(rounds, moves);
             if self.killed {
-                interrupted = true;
                 break;
             }
             self.ctx.refresh_after_batch(&self.g, &batch);
@@ -822,7 +741,6 @@ impl<R: GameRules> RoundService<R> {
             moves_applied,
             None,
             &stats_before,
-            interrupted,
             t0.elapsed(),
         )
     }
@@ -836,12 +754,9 @@ impl<R: GameRules> RoundService<R> {
         moves_applied: usize,
         cycle_period: Option<usize>,
         stats_before: &RepairStats,
-        interrupted: bool,
         wall: Duration,
     ) -> SessionReport {
         self.rounds_total += rounds;
-        self.proposed_total += moves_proposed;
-        self.applied_total += moves_applied;
         self.sessions_run += 1;
         self.busy += wall;
         SessionReport {
@@ -854,7 +769,7 @@ impl<R: GameRules> RoundService<R> {
                 cycle_period,
                 repair: self.ctx.dynamic_stats_snapshot().delta_since(stats_before),
             },
-            interrupted,
+            interrupted: self.killed,
             wall,
         }
     }
@@ -906,7 +821,6 @@ mod tests {
         assert!(service.rounds_total() >= 3);
         let totals = service.repair_totals();
         assert!(totals.updates > 0);
-        assert_eq!(totals.full_rebuilds, 0, "service must never rebuild");
         assert!(service.sustained_rounds_per_sec().is_some());
     }
 
@@ -937,26 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn pause_and_stop_bound_sessions() {
-        let start = classic::path(10); // oscillates: sessions would cycle forever
-        let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
-        service.pause();
-        let paused = service.run_session_plain();
-        assert!(paused.interrupted);
-        assert_eq!(paused.result.rounds, 0);
-        service.unpause();
-        let ran = service.run_session_plain();
-        assert!(!ran.interrupted);
-        assert!(ran.result.rounds > 0);
-        service.stop();
-        assert!(service.is_stopped());
-        let stopped = service.run_session_plain();
-        assert!(stopped.interrupted);
-        assert_eq!(stopped.result.rounds, 0);
-        assert_eq!(service.perturb(&[]), 0);
-    }
-
-    #[test]
     fn replay_session_streams_external_rounds() {
         // A palindromic traffic stream (two rounds + their inverses) on a
         // cycle: after replay the network is back at the start and the
@@ -982,7 +876,6 @@ mod tests {
         assert_eq!(report.result.moves_applied, 6);
         assert_eq!(report.result.outcome, Outcome::Capped);
         assert!(!report.interrupted);
-        assert_eq!(report.result.repair.full_rebuilds, 0);
         assert_eq!(sink.records.len(), 4);
         assert_eq!(service.rounds_total(), 4);
         assert!(service.sustained_rounds_per_sec().is_some());

@@ -85,14 +85,16 @@ fn opt_usize(v: Option<usize>) -> String {
 impl RoundRecord {
     /// The record as one JSON Lines row (no trailing newline).
     pub fn to_jsonl(&self) -> String {
+        // `full_rebuilds` and `rebuild_ns` are constant zeros (every update
+        // is repaired in place); they stay so recorded streams keep their bytes.
         format!(
             concat!(
                 "{{\"round\":{},\"proposed\":{},\"applied\":{},\"conflicted\":{},",
                 "\"social_cost\":{},\"cost_delta\":{},\"cycle_period\":{},\"converged\":{},",
-                "\"repair\":{{\"updates\":{},\"incremental\":{},\"full_rebuilds\":{},",
+                "\"repair\":{{\"updates\":{},\"incremental\":{},\"full_rebuilds\":0,",
                 "\"rows_repaired\":{},\"rows_blended\":{},\"batches\":{}}},",
                 "\"phases\":{{\"stage_a_ns\":{},\"phase1_ns\":{},\"phase2_ns\":{},",
-                "\"blend_ns\":{},\"rebuild_ns\":{}}}}}"
+                "\"blend_ns\":{},\"rebuild_ns\":0}}}}"
             ),
             self.round,
             self.proposed,
@@ -104,7 +106,6 @@ impl RoundRecord {
             self.converged,
             self.repair.updates,
             self.repair.incremental,
-            self.repair.full_rebuilds,
             self.repair.rows_repaired,
             self.repair.rows_blended,
             self.repair.batches,
@@ -112,13 +113,13 @@ impl RoundRecord {
             self.phases.phase1_ns,
             self.phases.phase2_ns,
             self.phases.blend_ns,
-            self.phases.rebuild_ns,
         )
     }
 
     /// Parses one JSON Lines row back into a record. Top-level and nested
     /// keys are required except the three nullable ones (`social_cost`,
-    /// `cost_delta`, `cycle_period`); unknown keys are ignored.
+    /// `cost_delta`, `cycle_period`); unknown keys, and the constant
+    /// `full_rebuilds` and `rebuild_ns`, are ignored.
     pub fn from_jsonl(line: &str) -> Result<RoundRecord, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
         let req_usize = |obj: &Json, key: &str| {
@@ -174,7 +175,6 @@ impl RoundRecord {
             repair: RepairStats {
                 updates: req_u64(repair_obj, "updates")?,
                 incremental: req_u64(repair_obj, "incremental")?,
-                full_rebuilds: req_u64(repair_obj, "full_rebuilds")?,
                 rows_repaired: req_u64(repair_obj, "rows_repaired")?,
                 rows_blended: req_u64(repair_obj, "rows_blended")?,
                 batches: req_u64(repair_obj, "batches")?,
@@ -185,7 +185,6 @@ impl RoundRecord {
                 phase1_ns: req_u64(phases_obj, "phase1_ns")?,
                 phase2_ns: req_u64(phases_obj, "phase2_ns")?,
                 blend_ns: req_u64(phases_obj, "blend_ns")?,
-                rebuild_ns: req_u64(phases_obj, "rebuild_ns")?,
             },
         })
     }
@@ -390,7 +389,6 @@ pub(crate) mod tests {
                 phase1_ns: 53000,
                 phase2_ns: 41000,
                 blend_ns: 9000,
-                rebuild_ns: 0,
             },
         }
     }

@@ -207,9 +207,9 @@ impl DistanceMatrix {
     }
 
     /// Recomputes every row in place for `csr`, reusing the backing buffer
-    /// (no allocation when the vertex count is unchanged). This is the
-    /// full-rebuild fallback of the dynamic-distance subsystem
-    /// ([`crate::dynamic`]).
+    /// (no allocation when the vertex count is unchanged): the full APSP
+    /// that the incremental repairs of [`crate::dynamic`] are benchmarked
+    /// against.
     pub fn rebuild(&mut self, csr: &Csr) {
         let n = csr.n();
         assert_matrix_n(n);

@@ -59,17 +59,14 @@
 //! layer. The property tests in `tests/dynamic_apsp_props.rs` sweep them
 //! against full BFS rebuilds.
 //!
-//! A deletion needing repairs on more rows than
-//! [`DynamicApsp::max_repair_rows`] falls back to a full parallel rebuild
-//! instead; every decision is recorded in [`RepairStats`]. Measurements on
-//! this workload (see `BENCH_incremental.json`) show the truncated repair
-//! beating the rebuild even at total invalidation — a tree-bridge deletion
-//! affecting all `n` sources repairs in a fraction of the rebuild time —
-//! so the default threshold is `n` (never fall back); lower it to cap
-//! repair work on instances where rebuild's streaming BFS wins. Repairs
-//! are embarrassingly parallel (each row repair reads only its own row
-//! plus the CSR), so large updates fan out over rayon workers exactly like
-//! the full build.
+//! Every update is serviced by repair and blend alone; the work done is
+//! recorded in [`RepairStats`]. Measurements on this workload (see
+//! `BENCH_incremental.json`) show the truncated repair beating a full
+//! rebuild even at total invalidation — a tree-bridge deletion affecting
+//! all `n` sources repairs in a fraction of the rebuild time. Repairs are
+//! embarrassingly parallel (each row repair reads only its own row plus
+//! the CSR), so large updates fan out over rayon workers exactly like the
+//! full build.
 //!
 //! The repaired matrix is **byte-identical** to a fresh
 //! [`DistanceMatrix::build`] of the mutated graph — distances are unique,
@@ -132,7 +129,7 @@ pub enum RepairStrategy {
 }
 
 /// Counters describing how [`DynamicApsp`] serviced its updates — the
-/// observability hook for benchmarks and the fallback-threshold tests.
+/// observability hook for benchmarks and the repair-volume tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Total updates applied (swaps, deletions, insertions, whole
@@ -140,17 +137,14 @@ pub struct RepairStats {
     pub updates: u64,
     /// Updates serviced incrementally (row repairs + blends).
     pub incremental: u64,
-    /// Updates that fell back to a full parallel rebuild.
-    pub full_rebuilds: u64,
     /// Cumulative rows repaired by truncated deletion repair.
     pub rows_repaired: u64,
     /// Cumulative rows rewritten by the insertion blend.
     pub rows_blended: u64,
     /// Whole-round batches applied via [`DynamicApsp::apply_batch`].
     pub batches: u64,
-    /// Rows that needed deletion repair in the most recent update (the
-    /// count the fallback threshold is compared against). For a batch
-    /// update this is the batch-wide tight-row count.
+    /// Rows that stage A marked for deletion repair in the most recent
+    /// update. For a batch update this is the batch-wide tight-row count.
     pub last_repair_candidates: usize,
     /// Rows actually repaired in the most recent update (batch-wide for a
     /// batch update).
@@ -161,21 +155,18 @@ pub struct RepairStats {
     /// Swaps carried by the most recent batch update (`0` while no batch
     /// has been applied).
     pub last_batch_swaps: usize,
-    /// Whether the most recent update fell back to a full rebuild.
-    pub last_was_rebuild: bool,
 }
 
 impl RepairStats {
     /// Aggregation of the cumulative counters since `baseline` (an earlier
     /// snapshot of the same subsystem): `updates`, `incremental`,
-    /// `full_rebuilds`, `rows_repaired`, `rows_blended`, and `batches` are
-    /// differenced, the `last_*` fields are carried over from `self`.
+    /// `rows_repaired`, `rows_blended`, and `batches` are differenced, the
+    /// `last_*` fields are carried over from `self`.
     ///
     /// This is how callers observe a *span* of updates — a whole activation
     /// round, a whole trajectory — instead of only the most recent call:
-    /// snapshot the stats before, diff after, then assert on
-    /// repair-vs-rebuild ratios (`incremental` vs `full_rebuilds`) or on
-    /// total repair volume.
+    /// snapshot the stats before, diff after, then assert on total repair
+    /// volume.
     /// The subtractions saturate: a baseline *newer* than `self` (e.g.
     /// taken from a fresh instance after an engine reset, then diffed
     /// against a stale copy) yields zeros instead of wrapping.
@@ -184,7 +175,6 @@ impl RepairStats {
         RepairStats {
             updates: self.updates.saturating_sub(baseline.updates),
             incremental: self.incremental.saturating_sub(baseline.incremental),
-            full_rebuilds: self.full_rebuilds.saturating_sub(baseline.full_rebuilds),
             rows_repaired: self.rows_repaired.saturating_sub(baseline.rows_repaired),
             rows_blended: self.rows_blended.saturating_sub(baseline.rows_blended),
             batches: self.batches.saturating_sub(baseline.batches),
@@ -197,11 +187,11 @@ impl RepairStats {
 // Telemetry handles (all no-ops when the `telemetry` feature is off).
 //
 // Metric names, as documented in ARCHITECTURE.md §Observability:
-//   apsp.stage_a_ns / apsp.phase1_ns / apsp.phase2_ns / apsp.blend_ns /
-//   apsp.rebuild_ns    — duration histograms of the maintained matrix's
+//   apsp.stage_a_ns / apsp.phase1_ns / apsp.phase2_ns / apsp.blend_ns
+//                      — duration histograms of the maintained matrix's
 //                        repair phases (stage A per update, phases 1/2
 //                        per repaired row, blend per update).
-//   apsp.rows_repaired / apsp.rows_blended / apsp.rebuilds — counters.
+//   apsp.rows_repaired / apsp.rows_blended — counters.
 //   scan.copy_ns / scan.stage_a_ns / scan.phase1_ns / scan.phase2_ns /
 //   scan.rows_repaired — the same breakdown for `masked_apsp_from_base`
 //                        (the evaluator's per-candidate-edge scans), kept
@@ -248,8 +238,6 @@ pub struct RepairPhases {
     pub phase2_ns: u64,
     /// Insertion blend passes.
     pub blend_ns: u64,
-    /// Full rebuild fallbacks.
-    pub rebuild_ns: u64,
 }
 
 impl RepairPhases {
@@ -261,13 +249,12 @@ impl RepairPhases {
             phase1_ns: self.phase1_ns.saturating_sub(baseline.phase1_ns),
             phase2_ns: self.phase2_ns.saturating_sub(baseline.phase2_ns),
             blend_ns: self.blend_ns.saturating_sub(baseline.blend_ns),
-            rebuild_ns: self.rebuild_ns.saturating_sub(baseline.rebuild_ns),
         }
     }
 
     /// Sum over all phases.
     pub fn total_ns(&self) -> u64 {
-        self.stage_a_ns + self.phase1_ns + self.phase2_ns + self.blend_ns + self.rebuild_ns
+        self.stage_a_ns + self.phase1_ns + self.phase2_ns + self.blend_ns
     }
 }
 
@@ -278,7 +265,6 @@ pub fn repair_phase_totals() -> RepairPhases {
         phase1_ns: apsp_phase_hists().phase1.sum(),
         phase2_ns: apsp_phase_hists().phase2.sum(),
         blend_ns: telemetry::histogram!("apsp.blend_ns").sum(),
-        rebuild_ns: telemetry::histogram!("apsp.rebuild_ns").sum(),
     }
 }
 
@@ -290,7 +276,6 @@ pub fn repair_phase_totals() -> RepairPhases {
 pub struct DynamicApsp {
     dm: DistanceMatrix,
     n: usize,
-    max_repair_rows: usize,
     stats: RepairStats,
     /// Per-source repair root from stage A (`V::MAX` = row unchanged).
     roots: Vec<V>,
@@ -312,11 +297,7 @@ pub struct DynamicApsp {
 
 impl DynamicApsp {
     /// Builds the matrix for the current state of `csr` (one full parallel
-    /// APSP). The fallback threshold defaults to `n` — never fall back —
-    /// because per-row repair measures several times cheaper than a BFS
-    /// row even when every row is touched; see
-    /// [`set_max_repair_rows`](Self::set_max_repair_rows) to cap repair
-    /// work explicitly.
+    /// APSP).
     pub fn build(csr: &Csr) -> Self {
         telemetry::counter!("apsp.builds").incr();
         Self::from_matrix(DistanceMatrix::build(csr))
@@ -338,7 +319,6 @@ impl DynamicApsp {
         let mut this = DynamicApsp {
             dm,
             n,
-            max_repair_rows: n.max(1),
             stats: RepairStats::default(),
             roots: Vec::new(),
             row_x: Vec::new(),
@@ -450,8 +430,7 @@ impl DynamicApsp {
         self.dm.data_mut()[u as usize * n + v as usize] = d;
     }
 
-    /// Recomputes every row aggregate from the matrix (build, rebuild
-    /// fallback).
+    /// Recomputes every row aggregate from the matrix (at construction).
     fn refresh_costs_all(&mut self) {
         let n = self.n;
         self.costs.resize(n, RowCost::default());
@@ -493,19 +472,6 @@ impl DynamicApsp {
         }
     }
 
-    /// Current fallback threshold: a deletion needing repairs on more than
-    /// this many source rows triggers a full rebuild instead.
-    #[inline]
-    pub fn max_repair_rows(&self) -> usize {
-        self.max_repair_rows
-    }
-
-    /// Sets the fallback threshold (`0` forces every effective deletion to
-    /// rebuild; `n` disables the fallback entirely).
-    pub fn set_max_repair_rows(&mut self, rows: usize) {
-        self.max_repair_rows = rows;
-    }
-
     /// Applies the outcome of [`Graph::apply_swap`](crate::Graph::apply_swap)
     /// to the matrix. `csr` must be the snapshot of the graph **after** the
     /// move (the state the record was produced by).
@@ -522,9 +488,8 @@ impl DynamicApsp {
     /// apsp.apply_swap(&g.to_csr(), &rec);
     /// // The maintained matrix is byte-identical to a fresh rebuild …
     /// assert_eq!(apsp.matrix(), &DistanceMatrix::build(&g.to_csr()));
-    /// // … and the update was serviced incrementally, not by rebuild.
+    /// // … and the update was serviced incrementally.
     /// assert_eq!(apsp.stats().incremental, 1);
-    /// assert_eq!(apsp.stats().full_rebuilds, 0);
     /// ```
     pub fn apply_swap(&mut self, csr: &Csr, applied: &SwapApplied) {
         match *applied {
@@ -535,11 +500,9 @@ impl DynamicApsp {
             SwapApplied::Swapped { v, w, w2 } => {
                 // Deletion repair runs on `G − vw` — the inserted edge is
                 // masked out of every adjacency scan — then the blend adds
-                // it back analytically. A fallback rebuild already reflects
-                // the full post-swap `csr`, so the blend is skipped.
-                if self.update_deletion(csr, v, w, &[(v, w2)]) {
-                    self.update_insertion(v, w2);
-                }
+                // it back analytically.
+                self.update_deletion(csr, v, w, &[(v, w2)]);
+                self.update_insertion(v, w2);
             }
         }
         self.stats.updates += 1;
@@ -563,11 +526,12 @@ impl DynamicApsp {
     /// graph states — both are exact for the final graph — which the
     /// property tests in `tests/round_dynamics_props.rs` pin down.
     ///
-    /// The fallback threshold is compared against the batch's *tight-row*
-    /// count (rows where some deleted edge lay on a shortest path): with
-    /// several deletions in flight the per-edge alternate-parent filter no
-    /// longer proves a row unchanged on its own, so the count is a
-    /// slightly coarser upper bound than the single-swap path's.
+    /// For a batch of several swaps, `last_repair_candidates` is the
+    /// batch's *tight-row* count (rows where some deleted edge lay on a
+    /// shortest path): with several deletions in flight the per-edge
+    /// alternate-parent filter no longer proves a row unchanged on its
+    /// own, so the count is a slightly coarser upper bound than the
+    /// single-swap path's.
     ///
     /// # Examples
     /// ```
@@ -605,27 +569,23 @@ impl DynamicApsp {
             self.stats.last_repair_candidates = 0;
             self.stats.last_rows_repaired = 0;
             self.stats.last_rows_blended = 0;
-            self.stats.last_was_rebuild = false;
-            // An empty (or all-noop) batch is trivially serviced in place,
-            // preserving `updates == incremental + full_rebuilds`.
+            // An empty (or all-noop) batch is trivially serviced in place.
             self.stats.incremental += 1;
             self.stats.updates += 1;
             return;
         }
-        let blend_all = if deleted.len() == 1 {
+        if deleted.len() == 1 {
             // A one-swap round is exactly a single update; reuse the
             // finer-filtered single-edge path (including its stats).
             let (u, w) = deleted[0];
-            self.update_deletion(csr, u, w, &inserted)
+            self.update_deletion(csr, u, w, &inserted);
         } else {
-            self.update_deletions_batch(csr, &deleted, &inserted)
-        };
-        if blend_all {
-            match inserted.len() {
-                0 => {}
-                1 => self.update_insertion(inserted[0].0, inserted[0].1),
-                _ => self.update_insertions_batch(&inserted),
-            }
+            self.update_deletions_batch(csr, &deleted, &inserted);
+        }
+        match inserted.len() {
+            0 => {}
+            1 => self.update_insertion(inserted[0].0, inserted[0].1),
+            _ => self.update_insertions_batch(&inserted),
         }
         self.stats.updates += 1;
     }
@@ -644,16 +604,14 @@ impl DynamicApsp {
         debug_assert_eq!(csr.n(), self.n);
         self.stats.last_repair_candidates = 0;
         self.stats.last_rows_repaired = 0;
-        self.stats.last_was_rebuild = false;
         self.update_insertion(x, y);
         self.stats.incremental += 1;
         self.stats.updates += 1;
     }
 
-    /// Deletion repair driver. Returns `false` when it fell back to a full
-    /// rebuild of `csr` (in which case the caller must not blend — the
-    /// rebuild already reflects `csr` exactly, mask included).
-    fn update_deletion(&mut self, csr: &Csr, u: V, w: V, mask: &[(V, V)]) -> bool {
+    /// Deletion repair driver: stage A marks the rows that can change,
+    /// stage B repairs them on `csr` with the `mask` edges hidden.
+    fn update_deletion(&mut self, csr: &Csr, u: V, w: V, mask: &[(V, V)]) {
         let n = self.n;
         debug_assert_eq!(csr.n(), n);
         self.stats.last_rows_blended = 0;
@@ -670,19 +628,8 @@ impl DynamicApsp {
 
         if candidates == 0 {
             self.stats.last_rows_repaired = 0;
-            self.stats.last_was_rebuild = false;
             self.stats.incremental += 1;
-            return true;
-        }
-        if candidates > self.max_repair_rows {
-            let _t = telemetry::histogram!("apsp.rebuild_ns").start();
-            self.dm.rebuild(csr);
-            self.refresh_costs_all();
-            self.stats.last_rows_repaired = 0;
-            self.stats.last_was_rebuild = true;
-            self.stats.full_rebuilds += 1;
-            telemetry::counter!("apsp.rebuilds").incr();
-            return false;
+            return;
         }
 
         // Stage B: truncated per-row repair, parallel when wide enough,
@@ -701,16 +648,13 @@ impl DynamicApsp {
         self.stats.last_rows_repaired = candidates;
         self.stats.rows_repaired += candidates as u64;
         telemetry::counter!("apsp.rows_repaired").add(candidates as u64);
-        self.stats.last_was_rebuild = false;
         self.stats.incremental += 1;
-        true
     }
 
     /// Multi-deletion repair driver for [`apply_batch`](Self::apply_batch):
     /// repairs every source row the batch's deletions can touch in one
-    /// pass. Same return contract as the single-edge driver: `false` means
-    /// it fell back to a full rebuild and the caller must not blend.
-    fn update_deletions_batch(&mut self, csr: &Csr, deleted: &[(V, V)], mask: &[(V, V)]) -> bool {
+    /// pass.
+    fn update_deletions_batch(&mut self, csr: &Csr, deleted: &[(V, V)], mask: &[(V, V)]) {
         let n = self.n;
         debug_assert_eq!(csr.n(), n);
         self.stats.last_rows_blended = 0;
@@ -745,19 +689,8 @@ impl DynamicApsp {
 
         if candidates == 0 {
             self.stats.last_rows_repaired = 0;
-            self.stats.last_was_rebuild = false;
             self.stats.incremental += 1;
-            return true;
-        }
-        if candidates > self.max_repair_rows {
-            let _t = telemetry::histogram!("apsp.rebuild_ns").start();
-            self.dm.rebuild(csr);
-            self.refresh_costs_all();
-            self.stats.last_rows_repaired = 0;
-            self.stats.last_was_rebuild = true;
-            self.stats.full_rebuilds += 1;
-            telemetry::counter!("apsp.rebuilds").incr();
-            return false;
+            return;
         }
 
         // Stage B: per-row batch repair, parallel when wide enough. The
@@ -796,9 +729,7 @@ impl DynamicApsp {
         self.stats.last_rows_repaired = repaired;
         self.stats.rows_repaired += repaired as u64;
         telemetry::counter!("apsp.rows_repaired").add(repaired as u64);
-        self.stats.last_was_rebuild = false;
         self.stats.incremental += 1;
-        true
     }
 
     /// Insertion blend driver: exact `O(n)` rewrite of every row the new
@@ -1600,7 +1531,7 @@ mod tests {
         g.remove_edge(0, 6);
         da.apply_deletion(&g.to_csr(), 0, 6);
         assert_exact(&da, &g);
-        assert!(!da.stats().last_was_rebuild);
+        assert!(da.stats().last_rows_repaired > 0);
     }
 
     #[test]
@@ -1643,11 +1574,9 @@ mod tests {
         assert_eq!(stats.updates, 2);
         assert_eq!(stats.batches, 2);
         assert_eq!(
-            stats.incremental + stats.full_rebuilds,
-            stats.updates,
-            "every update must be classified"
+            stats.incremental, stats.updates,
+            "every update is incremental"
         );
-        assert_eq!(stats.full_rebuilds, 0);
     }
 
     #[test]
@@ -1662,16 +1591,15 @@ mod tests {
     }
 
     #[test]
-    fn tree_bridge_deletion_falls_back_and_stays_exact() {
-        // Deleting a tree edge affects every source: with a lowered
-        // threshold the update must rebuild, and the matrix must report
-        // the disconnection exactly.
+    fn tree_bridge_deletion_repairs_every_row_and_stays_exact() {
+        // Deleting a tree edge affects every source: all n rows are repair
+        // candidates, and the matrix must report the disconnection exactly.
         let mut g = classic::path(9);
         let mut da = DynamicApsp::build(&g.to_csr());
-        da.set_max_repair_rows(g.n() / 2);
         g.remove_edge(4, 5);
         da.apply_deletion(&g.to_csr(), 4, 5);
-        assert!(da.stats().last_was_rebuild);
+        assert_eq!(da.stats().last_repair_candidates, g.n());
+        assert_eq!(da.stats().last_rows_repaired, g.n());
         assert_exact(&da, &g);
         assert_eq!(da.matrix().get(0, 8), crate::UNREACHABLE);
         // Reconnect somewhere else; the blend must restore exactness.
@@ -1681,43 +1609,12 @@ mod tests {
     }
 
     #[test]
-    fn threshold_boundary_switches_paths_without_changing_results() {
-        let mut g = classic::cycle(10);
-        g.add_edge(0, 5);
-        let csr0 = g.to_csr();
-        let mut probe = DynamicApsp::build(&csr0);
-        probe.set_max_repair_rows(g.n());
-        let mut h = g.clone();
-        h.remove_edge(0, 5);
-        let csr1 = h.to_csr();
-        probe.apply_deletion(&csr1, 0, 5);
-        let candidates = probe.stats().last_repair_candidates;
-        assert!(candidates >= 1, "chord deletion must touch some rows");
-        assert!(!probe.stats().last_was_rebuild);
-
-        // At exactly `candidates` the repair path runs; one below, rebuild.
-        let mut at = DynamicApsp::build(&csr0);
-        at.set_max_repair_rows(candidates);
-        at.apply_deletion(&csr1, 0, 5);
-        assert!(!at.stats().last_was_rebuild);
-        assert_eq!(at.matrix(), probe.matrix());
-
-        let mut below = DynamicApsp::build(&csr0);
-        below.set_max_repair_rows(candidates - 1);
-        below.apply_deletion(&csr1, 0, 5);
-        assert!(below.stats().last_was_rebuild);
-        assert_eq!(below.matrix(), probe.matrix());
-        assert_exact(&below, &h);
-    }
-
-    #[test]
     fn repair_stats_delta_saturates_instead_of_wrapping() {
         // A baseline *newer* than the reading — the engine-reset scenario
         // delta_since documents — must clamp to zero, not wrap to ~u64::MAX.
         let older = RepairStats {
             updates: 3,
             incremental: 2,
-            full_rebuilds: 1,
             rows_repaired: 40,
             rows_blended: 7,
             batches: 1,
@@ -1727,7 +1624,6 @@ mod tests {
         let newer = RepairStats {
             updates: 10,
             incremental: 8,
-            full_rebuilds: 2,
             rows_repaired: 100,
             rows_blended: 30,
             batches: 4,
@@ -1737,7 +1633,6 @@ mod tests {
         let forward = newer.delta_since(&older);
         assert_eq!(forward.updates, 7);
         assert_eq!(forward.incremental, 6);
-        assert_eq!(forward.full_rebuilds, 1);
         assert_eq!(forward.rows_repaired, 60);
         assert_eq!(forward.rows_blended, 23);
         assert_eq!(forward.batches, 3);
@@ -1749,12 +1644,11 @@ mod tests {
             (
                 inverted.updates,
                 inverted.incremental,
-                inverted.full_rebuilds,
                 inverted.rows_repaired,
                 inverted.rows_blended,
                 inverted.batches,
             ),
-            (0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0),
             "stale-baseline diffs saturate to zero"
         );
         assert_eq!(inverted.last_rows_repaired, 5);
@@ -1765,14 +1659,12 @@ mod tests {
             phase1_ns: 20,
             phase2_ns: 30,
             blend_ns: 40,
-            rebuild_ns: 0,
         };
         let p_new = RepairPhases {
             stage_a_ns: 15,
             phase1_ns: 50,
             phase2_ns: 30,
             blend_ns: 41,
-            rebuild_ns: 0,
         };
         assert_eq!(p_new.delta_since(&p_old).total_ns(), 5 + 30 + 1);
         assert_eq!(p_old.delta_since(&p_new).total_ns(), 0);

@@ -19,9 +19,9 @@
 //!   documentation of [`distance`]).
 //! * [`DynamicApsp`] — the dynamic-distance subsystem: the same matrix
 //!   maintained incrementally across single-edge swaps (truncated
-//!   Ramalingam–Reps row repairs with a full-rebuild fallback; see
-//!   [`dynamic`]), together with per-vertex cost aggregates (row sums and
-//!   eccentricities) updated only for the rows each repair touches.
+//!   Ramalingam–Reps row repairs; see [`dynamic`]), together with
+//!   per-vertex cost aggregates (row sums and eccentricities) updated only
+//!   for the rows each repair touches.
 //! * [`kernels`] — the compact-distance kernel layer: `u16` rows,
 //!   SIMD min-plus blends, fused batch blends, and one-pass row
 //!   aggregates; every hot scan above routes through it.

@@ -7,10 +7,8 @@
 //! random swap step (and every batched round), each vertex's maintained
 //! cost must equal a fresh `cost_of_row` over the maintained row *and* a
 //! fresh BFS-based `agent_cost` on the mutated graph — under both
-//! objectives, on ER graphs and trees, at both fallback-threshold
-//! extremes (`n` = never rebuild, `0` = always rebuild). A deterministic
-//! long-run keeps the total step count ≥ 500 regardless of proptest case
-//! budgets.
+//! objectives, on ER graphs and trees. A deterministic long-run keeps the
+//! total step count ≥ 500 regardless of proptest case budgets.
 
 use bncg::game::context::EvalContext;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
@@ -94,10 +92,9 @@ fn assert_aggregates_exact(da: &DynamicApsp, g: &Graph, context: &str) {
 
 /// Replays `steps` random swaps, checking the aggregates after every step.
 /// Returns the number of steps applied.
-fn replay_and_check(mut g: Graph, seed: u64, steps: usize, max_repair_rows: usize) -> usize {
+fn replay_and_check(mut g: Graph, seed: u64, steps: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut da = DynamicApsp::build(&g.to_csr());
-    da.set_max_repair_rows(max_repair_rows);
     assert_aggregates_exact(&da, &g, "initial build");
     let mut applied = 0;
     for step in 0..steps {
@@ -149,26 +146,17 @@ fn replay_rounds_and_check(mut g: Graph, seed: u64, rounds: usize, k: usize) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// ER graphs, repair path (threshold n: never rebuild).
+    /// ER graphs: every deletion runs the truncated row repair.
     #[test]
     fn aggregates_track_er_swaps_repair_path(g in er_graph(24), seed in any::<u64>()) {
-        let n = g.n();
-        replay_and_check(g, seed, 12, n);
-    }
-
-    /// ER graphs, rebuild path (threshold 0: every effective deletion
-    /// falls back to a full rebuild + full aggregate refresh).
-    #[test]
-    fn aggregates_track_er_swaps_rebuild_path(g in er_graph(20), seed in any::<u64>()) {
-        replay_and_check(g, seed, 10, 0);
+        replay_and_check(g, seed, 12);
     }
 
     /// Trees: bridge deletions invalidate whole subtrees (and disconnect
     /// transiently), the worst case for aggregate bookkeeping.
     #[test]
     fn aggregates_track_tree_swaps(g in tree(20), seed in any::<u64>()) {
-        let n = g.n();
-        replay_and_check(g, seed, 12, n);
+        replay_and_check(g, seed, 12);
     }
 
     /// Batched rounds: the fused multi-insertion blend must leave the
@@ -179,8 +167,8 @@ proptest! {
     }
 }
 
-/// Deterministic long-run: ≥ 500 checked swap steps across both families
-/// and both threshold extremes, independent of proptest case budgets.
+/// Deterministic long-run: ≥ 500 checked swap steps across both families,
+/// independent of proptest case budgets.
 #[test]
 fn aggregates_long_run_500_steps() {
     let mut total = 0;
@@ -193,10 +181,8 @@ fn aggregates_long_run_500_steps() {
         let n = 10 + (seed % 14) as usize;
         let er = gnp(&mut rng, n, (3.0 / n as f64).min(0.9));
         let tr = random_tree(&mut rng, n);
-        // Alternate threshold extremes between iterations.
-        let threshold = if total % 2 == 0 { n } else { 0 };
-        total += replay_and_check(er, seed ^ 1, 16, threshold);
-        total += replay_and_check(tr, seed ^ 2, 16, threshold);
+        total += replay_and_check(er, seed ^ 1, 16);
+        total += replay_and_check(tr, seed ^ 2, 16);
         total += replay_rounds_and_check(gnp(&mut rng, n, 0.3), seed ^ 3, 3, 4);
     }
     assert!(total >= 500, "long-run applied only {total} steps");

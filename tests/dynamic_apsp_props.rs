@@ -6,8 +6,8 @@
 //! properties replay random swap sequences — on Erdős–Rényi graphs and
 //! uniform random trees, through `Swapped`/`Deleted`/`Noop` records alike —
 //! and compare the maintained matrix byte-for-byte against
-//! `DistanceMatrix::build` of the mutated graph after **every** step, at
-//! both fallback-threshold extremes; single swaps also pin stage A's
+//! `DistanceMatrix::build` of the mutated graph after **every** step;
+//! single swaps also pin stage A's
 //! candidate count to the exact number of rows the deletion changes, and
 //! round batches are swept the same way through `apply_batch`.
 //! Deterministic long-run tests keep the step counts above fixed floors
@@ -93,10 +93,9 @@ fn rows_changed_by_deletion(before: &Csr, v: V, w: V) -> usize {
 /// against a full rebuild and stage A's candidate count against
 /// [`rows_changed_by_deletion`] after every step. Returns the number of
 /// steps actually applied.
-fn replay_and_check(mut g: Graph, seed: u64, steps: usize, max_repair_rows: usize) -> usize {
+fn replay_and_check(mut g: Graph, seed: u64, steps: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut da = DynamicApsp::build(&g.to_csr());
-    da.set_max_repair_rows(max_repair_rows);
     let mut applied = 0;
     for step in 0..steps {
         let Some((v, w, w2)) = random_swap(&mut rng, &g) else {
@@ -106,17 +105,13 @@ fn replay_and_check(mut g: Graph, seed: u64, steps: usize, max_repair_rows: usiz
         let rec = g.apply_swap(v, w, w2);
         da.apply_swap(&g.to_csr(), &rec);
         applied += 1;
-        assert_byte_identical(
-            &da,
-            &g,
-            &format!("step {step}, threshold {max_repair_rows}"),
-        );
+        assert_byte_identical(&da, &g, &format!("step {step}"));
         if let SwapApplied::Deleted { v, w } | SwapApplied::Swapped { v, w, .. } = rec {
             assert_eq!(
                 da.stats().last_repair_candidates,
                 rows_changed_by_deletion(&before, v, w),
                 "stage A marked a row the deletion leaves unchanged, or missed one \
-                 (step {step}, threshold {max_repair_rows})"
+                 (step {step})"
             );
         }
     }
@@ -183,16 +178,9 @@ fn synth_batch<R: Rng>(rng: &mut R, g: &Graph, k: usize) -> Vec<(V, V, V)> {
 /// Replays `rounds` synthesized swap batches through `apply_batch`,
 /// checking the maintained matrix against a full rebuild after every
 /// round barrier. Returns total swaps applied.
-fn replay_batches_and_check(
-    mut g: Graph,
-    seed: u64,
-    rounds: usize,
-    k: usize,
-    max_repair_rows: usize,
-) -> usize {
+fn replay_batches_and_check(mut g: Graph, seed: u64, rounds: usize, k: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut da = DynamicApsp::build(&g.to_csr());
-    da.set_max_repair_rows(max_repair_rows);
     let mut applied = 0;
     for round in 0..rounds {
         let moves = synth_batch(&mut rng, &g, k);
@@ -202,11 +190,7 @@ fn replay_batches_and_check(
             .collect();
         da.apply_batch(&g.to_csr(), &batch);
         applied += moves.len();
-        assert_byte_identical(
-            &da,
-            &g,
-            &format!("batch round {round}, threshold {max_repair_rows}"),
-        );
+        assert_byte_identical(&da, &g, &format!("batch round {round}"));
     }
     applied
 }
@@ -214,17 +198,16 @@ fn replay_batches_and_check(
 #[test]
 fn five_hundred_plus_swaps_match_bfs_at_both_threshold_extremes() {
     // Deterministic volume floor: ≥ 500 verified swaps (matrix and exact
-    // stage-A count) across ER graphs and trees, at both fallback
-    // extremes (never rebuild / always rebuild).
+    // stage-A count) across ER graphs and trees.
     let mut rng = StdRng::seed_from_u64(0x57AA7);
     let mut total = 0usize;
     for round in 0..2 {
         let er = gnp(&mut rng, 26, 0.13);
-        total += replay_and_check(er.clone(), 0xA0 + round, 90, er.n());
-        total += replay_and_check(er, 0xB0 + round, 40, 0);
+        total += replay_and_check(er.clone(), 0xA0 + round, 90);
+        total += replay_and_check(er, 0xB0 + round, 40);
         let t = random_tree(&mut rng, 21);
-        total += replay_and_check(t.clone(), 0xC0 + round, 90, t.n());
-        total += replay_and_check(t, 0xD0 + round, 40, 0);
+        total += replay_and_check(t.clone(), 0xC0 + round, 90);
+        total += replay_and_check(t, 0xD0 + round, 40);
     }
     assert!(
         total >= 500,
@@ -238,11 +221,11 @@ fn batch_repairs_match_bfs_at_both_threshold_extremes() {
     let mut total = 0usize;
     for round in 0..2 {
         let er = gnp(&mut rng, 30, 0.12);
-        total += replay_batches_and_check(er.clone(), 0x10 + round, 8, 5, er.n());
-        total += replay_batches_and_check(er, 0x20 + round, 4, 5, 0);
+        total += replay_batches_and_check(er.clone(), 0x10 + round, 8, 5);
+        total += replay_batches_and_check(er, 0x20 + round, 4, 5);
         let t = random_tree(&mut rng, 24);
-        total += replay_batches_and_check(t.clone(), 0x30 + round, 8, 4, t.n());
-        total += replay_batches_and_check(t, 0x40 + round, 4, 4, 0);
+        total += replay_batches_and_check(t.clone(), 0x30 + round, 8, 4);
+        total += replay_batches_and_check(t, 0x40 + round, 4, 4);
     }
     assert!(total >= 150, "batch volume floor not met: {total} swaps");
 }
@@ -250,14 +233,14 @@ fn batch_repairs_match_bfs_at_both_threshold_extremes() {
 #[test]
 fn thousand_plus_random_swap_steps_stay_byte_identical() {
     // Deterministic volume floor: ≥ 1000 verified steps across ER graphs
-    // and trees, with the default fallback threshold in play.
+    // and trees.
     let mut rng = StdRng::seed_from_u64(0xD15C0);
     let mut total = 0usize;
     for round in 0..3 {
         let er = gnp(&mut rng, 28, 0.12);
-        total += replay_and_check(er, 0xE0 + round, 180, 14);
+        total += replay_and_check(er, 0xE0 + round, 180);
         let t = random_tree(&mut rng, 22);
-        total += replay_and_check(t, 0x70 + round, 180, 11);
+        total += replay_and_check(t, 0x70 + round, 180);
     }
     assert!(
         total >= 1000,
@@ -273,10 +256,7 @@ proptest! {
         g in er_graph(40),
         seed in any::<u64>(),
     ) {
-        // Never fall back …
-        replay_and_check(g.clone(), seed, 12, g.n());
-        // … and always fall back: identical matrices either way.
-        replay_and_check(g, seed, 12, 0);
+        replay_and_check(g, seed, 12);
     }
 
     #[test]
@@ -284,8 +264,7 @@ proptest! {
         t in tree(32),
         seed in any::<u64>(),
     ) {
-        replay_and_check(t.clone(), seed, 12, t.n());
-        replay_and_check(t, seed, 12, 0);
+        replay_and_check(t, seed, 12);
     }
 
     #[test]
@@ -293,8 +272,7 @@ proptest! {
         g in er_graph(36),
         seed in any::<u64>(),
     ) {
-        replay_batches_and_check(g.clone(), seed, 4, 4, g.n());
-        replay_batches_and_check(g, seed, 4, 4, 0);
+        replay_batches_and_check(g, seed, 4, 4);
     }
 
     #[test]
@@ -302,41 +280,7 @@ proptest! {
         t in tree(30),
         seed in any::<u64>(),
     ) {
-        replay_batches_and_check(t.clone(), seed, 4, 4, t.n());
-        replay_batches_and_check(t, seed, 4, 4, 0);
-    }
-
-    #[test]
-    fn fallback_boundary_is_exact(g in er_graph(32), seed in any::<u64>()) {
-        // Find a step with a non-trivial repair set, then re-apply it with
-        // the threshold pinned exactly at, and one below, the candidate
-        // count: the path taken must flip, the matrix must not change.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = g;
-        let mut da = DynamicApsp::build(&g.to_csr());
-        da.set_max_repair_rows(g.n());
-        for _ in 0..24 {
-            let Some((v, w, w2)) = random_swap(&mut rng, &g) else { break };
-            let before = g.clone();
-            let rec = g.apply_swap(v, w, w2);
-            let csr = g.to_csr();
-            da.apply_swap(&csr, &rec);
-            let candidates = da.stats().last_repair_candidates;
-            if candidates >= 1 && !da.stats().last_was_rebuild {
-                let mut at = DynamicApsp::build(&before.to_csr());
-                at.set_max_repair_rows(candidates);
-                at.apply_swap(&csr, &rec);
-                prop_assert!(!at.stats().last_was_rebuild);
-                prop_assert_eq!(at.matrix(), da.matrix());
-
-                let mut below = DynamicApsp::build(&before.to_csr());
-                below.set_max_repair_rows(candidates - 1);
-                below.apply_swap(&csr, &rec);
-                prop_assert!(below.stats().last_was_rebuild);
-                prop_assert_eq!(below.matrix(), da.matrix());
-                break;
-            }
-        }
+        replay_batches_and_check(t, seed, 4, 4);
     }
 
     #[test]

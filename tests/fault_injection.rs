@@ -29,7 +29,7 @@ use bncg::dynamics::sink::MemorySink;
 use bncg::game::context::EvalContext;
 use bncg::game::objective::{MaxObjective, SumObjective};
 use bncg::game::rules::GameRules;
-use bncg::game::swap::ScoredSwap;
+use bncg::game::swap::{ScoredSwap, SwapMove};
 use bncg::graph::generators::random::{gnp, random_tree};
 use bncg::graph::V;
 use bncg::testkit::faults::{self, FaultPlan};
@@ -129,6 +129,17 @@ fn a_kill_between_journal_commit_and_apply_resumes_byte_identically() {
                 continue;
             }
             assert!(report.interrupted, "a killed session reports interrupted");
+            // A dead service refuses further work: no rounds, no swaps.
+            let after = victim.run_session_plain();
+            assert!(after.interrupted, "kill at {kill_at}");
+            assert_eq!(after.result.rounds, 0, "kill at {kill_at}");
+            let g = victim.graph();
+            let e = g.edge_vec()[0];
+            let w2 = (0..g.n() as V)
+                .find(|&x| x != e.u && x != e.v && !g.has_edge(e.u, x))
+                .expect("sparse graph has a non-neighbor");
+            let legal = SwapMove { v: e.u, w: e.v, w2 };
+            assert_eq!(victim.perturb(&[legal]), 0, "kill at {kill_at}");
             kills += 1;
             drop(victim);
 
@@ -157,7 +168,6 @@ fn a_kill_between_journal_commit_and_apply_resumes_byte_identically() {
                 r.repair.last_rows_repaired = c.repair.last_rows_repaired;
                 r.repair.last_rows_blended = c.repair.last_rows_blended;
                 r.repair.last_batch_swaps = c.repair.last_batch_swaps;
-                r.repair.last_was_rebuild = c.repair.last_was_rebuild;
                 assert_eq!(*c, r, "record diverged, kill at {kill_at}");
             }
             fs::remove_file(&path).ok();
@@ -250,7 +260,7 @@ fn injected_corruption_is_detected_within_the_audit_cadence_and_healed_row_wise(
         every_rounds: 1,
         stripe_rows: n, // full-matrix stripe: detection within one check
     });
-    let rebuilds_before = service.repair_totals().full_rebuilds;
+    let totals_before = service.repair_totals();
 
     // Flip one maintained distance (a bit-flip / torn write stand-in).
     service.corrupt_live_entry(0, (n - 1) as V, 1);
@@ -261,8 +271,8 @@ fn injected_corruption_is_detected_within_the_audit_cadence_and_healed_row_wise(
     assert!(stats.row_mismatches >= 1);
     assert_eq!(stats.heals, healed as u64);
 
-    // The heal must be row-wise: no full-context rebuild anywhere.
-    assert_eq!(service.repair_totals().full_rebuilds, rebuilds_before);
+    // The heal must be row-wise: an audit action, not a repair update.
+    assert_eq!(service.repair_totals(), totals_before);
 
     // The next audit passes clean...
     assert_eq!(service.run_audit(), 0);

@@ -15,16 +15,14 @@
 //!    service, and a service resumed from a crash-truncated journal,
 //!    then asserts record-level equivalence of the normalized traces.
 //!    Deterministic batteries cover every shipped rule set; proptest
-//!    sweeps cover ER graphs and trees under both objectives, both
-//!    response rules, and both fallback-threshold extremes.
+//!    sweeps cover ER graphs and trees under both objectives and both
+//!    response rules.
 
 use bncg::conformance::{
     golden_path, golden_scenarios, render_golden, trace_engines, ROUND_FAMILY_ENGINES,
 };
 use bncg::dynamics::engine::Response;
-use bncg::dynamics::rounds::{RoundConfig, RoundDynamics};
-use bncg::dynamics::service::RoundService;
-use bncg::dynamics::sink::MemorySink;
+use bncg::dynamics::rounds::RoundConfig;
 use bncg::game::objective::{MaxObjective, SumObjective};
 use bncg::game::rules::{BoundedBudgetGame, GameRules, InterestGame, TwoNeighborhoodGame};
 use bncg::graph::generators::random::{gnp, random_tree};
@@ -141,55 +139,6 @@ fn two_neighborhood_game_agrees_across_all_engines() {
             Response::FirstImproving,
             &format!("2nb-first/{tag}"),
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Threshold extremes: the fallback threshold (rows repaired per deletion
-// before a full rebuild is cheaper) moves work between repair and
-// rebuild; it must never move the trajectory. Extremes on the service,
-// diffed against the plain serial engine.
-
-fn threshold_extremes<O: bncg::game::objective::Objective + GameRules + Default>(
-    start: &Graph,
-    label: &str,
-) {
-    let config = RoundConfig::default();
-    let mut reference = MemorySink::new();
-    let res = RoundDynamics::<O>::new(config).run_with_sink(start, &mut reference);
-    for rows in [0, start.n() * start.n()] {
-        let mut service = RoundService::<O>::new(start, config);
-        service.set_max_repair_rows(rows);
-        let mut sink = MemorySink::new();
-        let report = service.run_session(&mut sink);
-        assert_eq!(
-            report.result.graph, res.graph,
-            "final graph diverged at threshold {rows} ({label})"
-        );
-        assert_eq!(
-            report.result.outcome, res.outcome,
-            "outcome diverged at threshold {rows} ({label})"
-        );
-        assert_eq!(
-            sink.records.len(),
-            reference.records.len(),
-            "round count diverged at threshold {rows} ({label})"
-        );
-        for (a, b) in sink.records.iter().zip(&reference.records) {
-            assert_eq!(
-                (a.round, a.proposed, a.applied, a.social_cost),
-                (b.round, b.proposed, b.applied, b.social_cost),
-                "record diverged at threshold {rows} ({label})"
-            );
-        }
-    }
-}
-
-#[test]
-fn threshold_extremes_never_move_the_trajectory() {
-    for (g, tag) in starts(0xC0F5) {
-        threshold_extremes::<SumObjective>(&g, &format!("sum/{tag}"));
-        threshold_extremes::<MaxObjective>(&g, &format!("max/{tag}"));
     }
 }
 

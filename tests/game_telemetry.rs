@@ -6,7 +6,7 @@
 //! engine gates its eager matrix builds, checkpoint CRCs, and resume
 //! verification on that flag — so a full run across the engine family
 //! (serial rounds, hand-stepped rounds, the service, a journal resume)
-//! must never build, rebuild, or repair a distance matrix. Telemetry
+//! must never build or repair a distance matrix. Telemetry
 //! counters are process-global, so these assertions live alone in their
 //! own test binary: the single `#[test]` below runs the whole sequence
 //! serially and owns the counters for the process lifetime.
@@ -26,14 +26,9 @@ use bncg::testkit::conformance::assert_equivalent;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const APSP_COUNTERS: [&str; 4] = [
-    "apsp.builds",
-    "apsp.rebuilds",
-    "apsp.rows_repaired",
-    "apsp.rows_blended",
-];
+const APSP_COUNTERS: [&str; 3] = ["apsp.builds", "apsp.rows_repaired", "apsp.rows_blended"];
 
-fn apsp_totals() -> [u64; 4] {
+fn apsp_totals() -> [u64; 3] {
     APSP_COUNTERS.map(|name| telemetry::counter(name).get())
 }
 

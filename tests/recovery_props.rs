@@ -23,16 +23,18 @@ use bncg::dynamics::engine::{Outcome, Response};
 use bncg::dynamics::recovery::{crc32, read_journal, JournalRecord};
 use bncg::dynamics::rounds::{RoundConfig, RoundDynamics};
 use bncg::dynamics::service::{JournalOptions, RoundService, ServiceConfig};
-use bncg::dynamics::sink::{MemorySink, RoundRecord};
+use bncg::dynamics::sink::{MemorySink, NullSink, RoundRecord};
 use bncg::dynamics::RecoveryError;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
 use bncg::game::rules::GameRules;
 use bncg::game::swap::SwapMove;
+use bncg::graph::generators::classic;
 use bncg::graph::generators::random::{gnp, random_tree};
-use bncg::graph::{Graph, V};
+use bncg::graph::{graph6, Graph, V};
+use bncg::telemetry::json;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn temp_path(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -65,7 +67,6 @@ fn assert_records_match(continued: &[RoundRecord], reference: &[RoundRecord], co
         r.repair.last_rows_repaired = c.repair.last_rows_repaired;
         r.repair.last_rows_blended = c.repair.last_rows_blended;
         r.repair.last_batch_swaps = c.repair.last_batch_swaps;
-        r.repair.last_was_rebuild = c.repair.last_was_rebuild;
         assert_eq!(*c, r, "record diverged at round {} ({context})", c.round);
     }
 }
@@ -177,6 +178,16 @@ fn reseal(lines: &[&str], line: usize, edit: impl FnOnce(&mut JournalRecord)) ->
     path
 }
 
+/// The first legal swap of `g`: its first edge `vw`, rewired from `v`
+/// onto the lowest non-neighbor `w2`.
+fn legal_swap(g: &Graph) -> SwapMove {
+    let e = *g.edge_vec().first().expect("non-empty graph");
+    let w2 = (0..g.n() as V)
+        .find(|&x| x != e.u && x != e.v && !g.has_edge(e.u, x))
+        .expect("a non-neighbor exists");
+    SwapMove { v: e.u, w: e.v, w2 }
+}
+
 #[test]
 fn resealed_impossible_moves_are_refused_as_corrupt() {
     // One Round and one Perturb record at a time get a move the replayed
@@ -193,13 +204,7 @@ fn resealed_impossible_moves_are_refused_as_corrupt() {
         .attach_journal(&path, JournalOptions::default())
         .expect("journal");
     let _ = service.run_session_plain();
-    let g = service.graph().clone();
-    let edge = *g.edge_vec().first().expect("non-empty graph");
-    let (v, w) = (edge.u, edge.v);
-    let w2 = (0..n)
-        .find(|&x| x != v && x != w && !g.has_edge(v, x))
-        .expect("a non-neighbor exists");
-    assert_eq!(service.perturb(&[SwapMove { v, w, w2 }]), 1);
+    assert_eq!(service.perturb(&[legal_swap(service.graph())]), 1);
     let _ = service.run_session_plain();
     drop(service);
 
@@ -302,8 +307,7 @@ fn journals_with_a_pipelined_seed_still_resume() {
 fn restartless_sessions_match_fresh_serial_runs_round_for_round() {
     // The amortization claim, verified for correctness: continuing a warm
     // service from a converged state must behave exactly like a fresh
-    // engine run from that state (one empty converged round), with no
-    // rebuild anywhere.
+    // engine run from that state (one empty converged round).
     let mut rng = StdRng::seed_from_u64(0xA11C);
     let start = random_tree(&mut rng, 24);
     let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
@@ -324,10 +328,6 @@ fn restartless_sessions_match_fresh_serial_runs_round_for_round() {
             &format!("session {session}"),
         );
     }
-    // One APSP build total: the first session's repair counters already
-    // include zero rebuilds, and later sessions add none.
-    assert_eq!(first.result.repair.full_rebuilds, 0);
-    assert_eq!(service.repair_totals().full_rebuilds, 0);
     assert!(matches!(
         first.result.outcome,
         Outcome::Converged | Outcome::Cycled
@@ -455,13 +455,7 @@ fn perturbations_are_journaled_and_replayed() {
     // Swap one existing edge onto a currently non-adjacent endpoint, then
     // settle again — both the perturbation and the second session land in
     // the journal.
-    let g = service.graph().clone();
-    let edge = *g.edge_vec().first().expect("non-empty graph");
-    let (v, w) = (edge.u, edge.v);
-    let w2 = (0..g.n() as bncg::graph::V)
-        .find(|&x| x != v && x != w && !g.has_edge(v, x))
-        .expect("a non-neighbor exists");
-    assert_eq!(service.perturb(&[SwapMove { v, w, w2 }]), 1);
+    assert_eq!(service.perturb(&[legal_swap(service.graph())]), 1);
     let _ = service.run_session_plain();
     let final_graph = service.graph().clone();
     let rounds_total = service.rounds_total();
@@ -514,6 +508,269 @@ fn resumed_midsession_records_match_a_fresh_engine_suffix() {
     assert_eq!(cont.outcome, fresh.outcome);
     fs::remove_file(&path).ok();
     fs::remove_file(&partial).ok();
+}
+
+/// Journals one `n`-vertex service run that writes every record kind: a
+/// session, a perturbation, a second session, a two-round replay session
+/// and a final session, with a checkpoint every two rounds. The final
+/// `SessionEnd` line is cut off, as by a crash after the last round.
+fn mixed_journal(seed: u64, n: usize) -> Vec<String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let start = gnp(&mut rng, n, 0.2);
+    let path = temp_path("mixed");
+    let mut service = RoundService::<SumObjective>::new(&start, ServiceConfig::default());
+    service
+        .attach_journal(
+            &path,
+            JournalOptions {
+                checkpoint_every: 2,
+            },
+        )
+        .expect("journal");
+    let _ = service.run_session_plain();
+    assert_eq!(service.perturb(&[legal_swap(service.graph())]), 1);
+    let _ = service.run_session_plain();
+    let mut g = service.graph().clone();
+    let stream: Vec<Vec<SwapMove>> = (0..2)
+        .map(|_| {
+            let mv = legal_swap(&g);
+            mv.apply(&mut g);
+            vec![mv]
+        })
+        .collect();
+    let _ = service.replay_session(&stream, &mut NullSink);
+    // A converged final session keeps every resumed continuation short.
+    let last = service.run_session_plain().result;
+    assert_eq!(last.outcome, Outcome::Converged);
+    assert!(last.rounds > 1, "the final session must journal rounds");
+    drop(service);
+    let text = fs::read_to_string(&path).expect("read journal");
+    fs::remove_file(&path).ok();
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let end = lines.pop().expect("non-empty journal");
+    assert!(end.contains("\"t\":\"end\""), "last line: {end}");
+    for kind in ["seed", "start", "round", "perturb", "end", "ckpt"] {
+        let tag = format!("\"t\":\"{kind}\"");
+        assert!(lines.iter().any(|l| l.contains(&tag)), "no {kind} record");
+    }
+    lines
+}
+
+/// A mutable handle on one field of a journal record.
+enum Field<'a> {
+    Count(&'a mut usize),
+    Count64(&'a mut u64),
+    Flag(&'a mut bool),
+    Crc(&'a mut u32),
+    Graph6(&'a mut String),
+    Outcome(&'a mut Outcome),
+    Moves(&'a mut Vec<SwapMove>),
+}
+
+/// Every field of `rec` the mutation sweep edits.
+fn fields(rec: &mut JournalRecord) -> Vec<Field<'_>> {
+    match rec {
+        JournalRecord::Seed {
+            max_rounds,
+            detect_cycles,
+            pipelined,
+            checkpoint_every,
+            graph6,
+            ..
+        } => vec![
+            Field::Count(max_rounds),
+            Field::Flag(detect_cycles),
+            Field::Flag(pipelined),
+            Field::Count(checkpoint_every),
+            Field::Graph6(graph6),
+        ],
+        JournalRecord::SessionStart { replay } => vec![Field::Flag(replay)],
+        JournalRecord::Round {
+            round,
+            moves,
+            graph_crc,
+        } => vec![
+            Field::Count(round),
+            Field::Moves(moves),
+            Field::Crc(graph_crc),
+        ],
+        JournalRecord::Perturb { moves, graph_crc } => {
+            vec![Field::Moves(moves), Field::Crc(graph_crc)]
+        }
+        JournalRecord::SessionEnd { outcome } => vec![Field::Outcome(outcome)],
+        JournalRecord::Checkpoint {
+            rounds_logged,
+            graph6,
+            matrix_crc,
+        } => vec![
+            Field::Count64(rounds_logged),
+            Field::Graph6(graph6),
+            Field::Crc(matrix_crc),
+        ],
+    }
+}
+
+/// The values a count or a move endpoint is set to: both ends of the
+/// vertex range, one past each, and the largest value a record holds.
+fn extremes(n: usize) -> [usize; 5] {
+    [0, 1, n, n + 1, u32::MAX as usize]
+}
+
+impl Field<'_> {
+    /// Number of distinct mutations [`Field::mutate`] applies.
+    fn mutations(&self) -> usize {
+        match self {
+            Field::Count(_) | Field::Count64(_) | Field::Graph6(_) => 5,
+            Field::Flag(_) | Field::Crc(_) => 1,
+            Field::Outcome(_) => 3,
+            // Each endpoint to each extreme, plus `w` and `w2` swapped.
+            Field::Moves(moves) => 16 * moves.len(),
+        }
+    }
+
+    /// Applies mutation `k < self.mutations()` for an `n`-vertex journal.
+    fn mutate(self, k: usize, n: usize) {
+        let x = extremes(n)[k % 5];
+        match self {
+            Field::Count(c) => *c = x,
+            Field::Count64(c) => *c = x as u64,
+            Field::Flag(b) => *b = !*b,
+            Field::Crc(c) => *c = c.wrapping_add(1),
+            Field::Graph6(g6) => {
+                *g6 = match k {
+                    0..=2 => graph6::encode(&classic::path(n - 1 + k)),
+                    3 => graph6::encode(&Graph::new(n)),
+                    _ => "not graph6!".into(),
+                }
+            }
+            Field::Outcome(o) => *o = [Outcome::Converged, Outcome::Cycled, Outcome::Capped][k],
+            Field::Moves(moves) => {
+                let mv = &mut moves[k / 16];
+                let end = match k % 16 / 5 {
+                    0 => &mut mv.v,
+                    1 => &mut mv.w,
+                    2 => &mut mv.w2,
+                    _ => return std::mem::swap(&mut mv.w, &mut mv.w2),
+                };
+                *end = x as V;
+            }
+        }
+    }
+}
+
+#[test]
+fn resealed_mutations_of_every_line_resume_or_fail_without_panicking() {
+    // Every single-field mutation of every line, resealed so the CRC
+    // passes, and every dropped, duplicated or swapped line: resume must
+    // return `Ok` or a `RecoveryError`, and an `Ok` service must run one
+    // more session — never a panic.
+    let n = 14;
+    let owned = mixed_journal(0x3A7E, n);
+    let lines: Vec<&str> = owned.iter().map(String::as_str).collect();
+    let (mut resumed, mut refused) = (0usize, 0usize);
+    let mut check = |path: PathBuf, label: String| {
+        let ok = std::panic::catch_unwind(|| match RoundService::<SumObjective>::resume(&path) {
+            Ok((mut service, _)) => {
+                let _ = service.run_session_plain();
+                true
+            }
+            Err(_) => false,
+        })
+        .unwrap_or_else(|_| panic!("resume or the next session panicked: {label}"));
+        fs::remove_file(&path).ok();
+        if ok {
+            resumed += 1;
+        } else {
+            refused += 1;
+        }
+    };
+    for line in 1..=lines.len() {
+        let mut probe = JournalRecord::from_line(lines[line - 1]).expect("intact record");
+        let counts: Vec<usize> = fields(&mut probe).iter().map(Field::mutations).collect();
+        for (i, &count) in counts.iter().enumerate() {
+            for k in 0..count {
+                let path = reseal(&lines, line, |rec| fields(rec).swap_remove(i).mutate(k, n));
+                check(path, format!("line {line}, field {i}, mutation {k}"));
+            }
+        }
+    }
+    for i in 0..lines.len() {
+        let mut dropped = lines.clone();
+        dropped.remove(i);
+        let mut duplicated = lines.clone();
+        duplicated.insert(i, lines[i]);
+        let mut damaged = vec![("dropped", dropped), ("duplicated", duplicated)];
+        if i + 1 < lines.len() {
+            let mut swapped = lines.clone();
+            swapped.swap(i, i + 1);
+            damaged.push(("swapped with the next", swapped));
+        }
+        for (what, out) in damaged {
+            let path = temp_path("damaged");
+            fs::write(&path, out.join("\n") + "\n").expect("write damaged journal");
+            check(path, format!("line {} {what}", i + 1));
+        }
+    }
+    assert!(
+        resumed > 0 && refused > 0,
+        "the sweep must both resume and refuse ({resumed} resumed, {refused} refused)"
+    );
+    assert!(
+        resumed + refused >= 500,
+        "only {} journals",
+        resumed + refused
+    );
+}
+
+#[test]
+fn random_and_mutated_strings_never_panic_the_parsers() {
+    // A deterministic sweep of random strings and byte-mutated valid
+    // inputs (journal lines and bodies, round records, graph6) through
+    // every parser that reads external input. Bodies are also resealed,
+    // so the journal decoder sees them past its CRC check.
+    let mut corpus = mixed_journal(0x3A7E, 14);
+    let bodies: Vec<String> = corpus
+        .iter()
+        .filter_map(|l| Some(l.split_once(",\"rec\":")?.1.strip_suffix('}')?.to_owned()))
+        .collect();
+    corpus.extend(bodies);
+    let mut sink = MemorySink::new();
+    let mut rng = StdRng::seed_from_u64(0x9A25);
+    let g = gnp(&mut rng, 24, 0.15);
+    let _ = RoundDynamics::<SumObjective>::new(RoundConfig::default()).run_with_sink(&g, &mut sink);
+    corpus.extend(sink.records.iter().map(RoundRecord::to_jsonl));
+    corpus.push(graph6::encode(&g));
+    // A long-form graph6 header (n = 72) with a cut-short body.
+    corpus.push("~?@G".to_string() + &"~".repeat(40));
+    const TOKENS: &[u8] = b"{}[]\":,.-+eE0123456789truefalsnul\\ ?~_crecg6t";
+    for i in 0..50_000u32 {
+        let bytes: Vec<u8> = if i % 4 == 0 {
+            (0..rng.gen_range(0..80usize))
+                .map(|_| TOKENS[rng.gen_range(0..TOKENS.len())])
+                .collect()
+        } else {
+            let mut b = corpus[rng.gen_range(0..corpus.len())].clone().into_bytes();
+            for _ in 0..rng.gen_range(1..=4usize) {
+                let at = rng.gen_range(0..=b.len());
+                match rng.gen_range(0..4u32) {
+                    0 if at < b.len() => b[at] = rng.gen_range(0..=255u8),
+                    1 => b.insert(at, TOKENS[rng.gen_range(0..TOKENS.len())]),
+                    2 if at < b.len() => {
+                        b.remove(at);
+                    }
+                    _ => b.truncate(at),
+                }
+            }
+            b
+        };
+        let s = String::from_utf8_lossy(&bytes);
+        let _ = json::parse(&s);
+        let _ = RoundRecord::from_jsonl(&s);
+        let _ = JournalRecord::from_line(&s);
+        let sealed = format!("{{\"crc\":\"{:08x}\",\"rec\":{s}}}", crc32(s.as_bytes()));
+        let _ = JournalRecord::from_line(&sealed);
+        let _ = graph6::decode(&s);
+    }
 }
 
 proptest! {

@@ -9,7 +9,7 @@
 //!    produce — and both must equal a full rebuild of the final graph.
 //!    Replayed on Erdős–Rényi graphs and uniform random trees over 500+
 //!    random rounds (deterministic volume floor below the proptest
-//!    cases), at both fallback-threshold extremes.
+//!    cases).
 //! 2. **Masked scan from base ≡ fresh masked APSP.** Deriving the APSP of
 //!    `G − e` from the maintained base matrix by copy-plus-repair
 //!    ([`masked_apsp_from_base`]) must be byte-identical to the `n`
@@ -130,16 +130,14 @@ fn check_round(
 
 /// Replays `rounds` random rounds on `g`, checking batch-vs-sequential
 /// byte identity after every round. Returns rounds actually exercised.
-fn replay_rounds(mut g: Graph, seed: u64, rounds: usize, k: usize, threshold: usize) -> usize {
+fn replay_rounds(mut g: Graph, seed: u64, rounds: usize, k: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let csr0 = g.to_csr();
     let mut seq = DynamicApsp::build(&csr0);
     let mut bat = DynamicApsp::build(&csr0);
-    seq.set_max_repair_rows(g.n());
-    bat.set_max_repair_rows(threshold);
     let mut exercised = 0;
     for r in 0..rounds {
-        let ctx = format!("round {r}, n {}, threshold {threshold}", g.n());
+        let ctx = format!("round {r}, n {}", g.n());
         if check_round(&mut g, &mut seq, &mut bat, &mut rng, k, &ctx) > 0 {
             exercised += 1;
         }
@@ -150,33 +148,19 @@ fn replay_rounds(mut g: Graph, seed: u64, rounds: usize, k: usize, threshold: us
 #[test]
 fn five_hundred_plus_random_rounds_stay_byte_identical() {
     // Deterministic volume floor: ≥ 500 verified rounds across ER graphs
-    // and trees, multi-swap batches throughout, at the default (never
-    // fall back) threshold.
+    // and trees, multi-swap batches throughout.
     let mut rng = StdRng::seed_from_u64(0x0040_07E5);
     let mut total = 0usize;
     for i in 0..4 {
         let er = gnp(&mut rng, 26, 0.14);
-        total += replay_rounds(er, 0xE0 + i, 80, 5, 26);
+        total += replay_rounds(er, 0xE0 + i, 80, 5);
         let t = random_tree(&mut rng, 22);
-        total += replay_rounds(t, 0x70 + i, 80, 4, 22);
+        total += replay_rounds(t, 0x70 + i, 80, 4);
     }
     assert!(
         total >= 500,
         "volume floor not met: only {total} rounds verified"
     );
-}
-
-#[test]
-fn batch_fallback_threshold_extremes_agree() {
-    // Threshold 0 forces every effective batch to rebuild; threshold n
-    // never falls back. Both must match the sequential ground truth.
-    let mut rng = StdRng::seed_from_u64(0xFA11);
-    let er = gnp(&mut rng, 24, 0.15);
-    assert!(replay_rounds(er.clone(), 1, 40, 4, 0) > 0);
-    assert!(replay_rounds(er, 2, 40, 4, 24) > 0);
-    let t = random_tree(&mut rng, 20);
-    assert!(replay_rounds(t.clone(), 3, 40, 3, 0) > 0);
-    assert!(replay_rounds(t, 4, 40, 3, 20) > 0);
 }
 
 /// Masked-scan identity over every edge of `g`.
@@ -276,14 +260,12 @@ proptest! {
 
     #[test]
     fn er_rounds_match_sequential_repairs(g in er_graph(32), seed in any::<u64>()) {
-        replay_rounds(g.clone(), seed, 10, 5, g.n());
-        replay_rounds(g, seed, 10, 5, 0);
+        replay_rounds(g, seed, 10, 5);
     }
 
     #[test]
     fn tree_rounds_match_sequential_repairs(t in tree(26), seed in any::<u64>()) {
-        replay_rounds(t.clone(), seed, 10, 4, t.n());
-        replay_rounds(t, seed, 10, 4, 0);
+        replay_rounds(t, seed, 10, 4);
     }
 
     #[test]
