@@ -4,10 +4,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use bncg_core::best_response::best_response_csr;
 use bncg_core::context::EvalContext;
 use bncg_core::equilibrium::{MaxGame, SumGame};
 use bncg_core::objective::{Objective, SumObjective};
+use bncg_core::rules::GameRules;
 use bncg_core::stability::{is_deletion_critical, is_insertion_stable};
 use bncg_core::verify::reference_is_sum_equilibrium;
 use bncg_graph::generators::random::random_connected;
@@ -83,18 +83,13 @@ fn bench_max_and_stability(c: &mut Criterion) {
 
 fn bench_best_response(c: &mut Criterion) {
     // `ctx/<n>` is the production hot path (long-lived pooled context, as
-    // the dynamics engine runs it); `csr_shim/<n>` is the compatibility
-    // wrapper, which additionally clones the CSR per call.
+    // the dynamics engine runs it).
     let mut group = c.benchmark_group("equilibrium/best_response");
     for &n in &[64usize, 256] {
         let g = graphs(n);
         let ctx = EvalContext::new(&g);
         group.bench_with_input(BenchmarkId::new("ctx", n), &n, |b, _| {
-            b.iter(|| black_box(ctx.best_response::<SumObjective>(0)));
-        });
-        let csr = g.to_csr();
-        group.bench_with_input(BenchmarkId::new("csr_shim", n), &n, |b, _| {
-            b.iter(|| black_box(best_response_csr::<SumObjective>(&g, &csr, 0)));
+            b.iter(|| black_box(SumObjective.best_response(&ctx, 0)));
         });
     }
     group.finish();

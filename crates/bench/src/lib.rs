@@ -14,6 +14,7 @@ pub mod workload {
 
     use bncg_core::context::EvalContext;
     use bncg_core::objective::SumObjective;
+    use bncg_core::rules::GameRules;
     use bncg_core::swap::SwapMove;
     use bncg_graph::adjacency::Edge;
     use bncg_graph::Graph;
@@ -33,7 +34,7 @@ pub mod workload {
                 if moves.len() == k {
                     break;
                 }
-                if let Some(s) = ctx.best_response::<SumObjective>(v) {
+                if let Some(s) = SumObjective.best_response(&ctx, v) {
                     let rec = s.mv.apply(&mut g);
                     ctx.refresh_after(&g, &rec);
                     moves.push(s.mv);
@@ -184,7 +185,7 @@ pub mod workload {
     /// The batched arm of [`replay_round_stream`], with every round
     /// barrier routed through the engines' actual resolution seam,
     /// [`resolve_round_with`](bncg_dynamics::resolve_round_with) under
-    /// the basic game's [`GameRules`](bncg_core::rules::GameRules)
+    /// the basic game's [`GameRules`]
     /// implementation — footprint resolution plus the (always-true)
     /// `legal_in_batch` hook. The stream's rounds are footprint-disjoint
     /// by construction, so every move survives resolution and the

@@ -73,6 +73,30 @@ fn write_metrics(out: &mut String, opts: &super::RunOpts, records: &[bncg_dynami
     }
 }
 
+/// Reports a failed `--resume` and exits 1.
+fn resume_failed(path: &std::path::Path, e: impl std::fmt::Display) -> ! {
+    eprintln!("--resume from {} failed: {e}", path.display());
+    std::process::exit(1);
+}
+
+/// Vertex count of the graph a `--resume` journal starts from, so rule
+/// sets with per-agent state (budgets, interest sets) are sized for the
+/// journal, not for this run's start graph. `None` without `--resume`,
+/// or when the journal does not begin with a seed record (resume itself
+/// refuses that). An unreadable journal exits 1.
+fn journal_order(opts: &super::RunOpts) -> Option<usize> {
+    let path = opts.resume.as_ref()?;
+    let scan = bncg_dynamics::read_journal(path).unwrap_or_else(|e| resume_failed(path, e));
+    match scan.records.first() {
+        Some(bncg_dynamics::JournalRecord::Seed { graph6, .. }) => Some(
+            bncg_graph::graph6::decode(graph6)
+                .unwrap_or_else(|e| resume_failed(path, e))
+                .n(),
+        ),
+        _ => None,
+    }
+}
+
 /// Crash-safe service run under any rule set: `--journal` makes the
 /// round service write-ahead-log every barrier (recoverable via
 /// `--resume`, which checks the journal's game tag against `rules`),
@@ -113,10 +137,7 @@ fn service_lab<R: bncg_core::rules::GameRules>(
                 ));
                 service
             }
-            Err(e) => {
-                eprintln!("--resume from {} failed: {e}", path.display());
-                std::process::exit(1);
-            }
+            Err(e) => resume_failed(path, e),
         }
     } else {
         let mut service = RoundService::with_rules(start, RoundConfig::default(), rules);
@@ -315,25 +336,26 @@ pub fn run(opts: &super::RunOpts) -> String {
     // largest size, every round emitted as a structured record. The
     // summary table digests the stream; `--metrics <path>` additionally
     // persists it as JSON Lines. `--game` swaps the rule set the
-    // streaming run and the crash-safe service play.
+    // streaming run and the crash-safe service play; a resumed service
+    // gets its rule set sized for the journal's graph.
     let n = *sizes.last().expect("sizes is non-empty");
     let mut rng = StdRng::seed_from_u64(0x713 + n as u64);
     let start = bncg_graph::generators::random::random_connected(&mut rng, n, n / 4);
+    let service_n = journal_order(opts).unwrap_or(n);
     match opts.game {
         super::GameChoice::Basic => {
             variant_stream(&mut out, opts, &start, n, SumObjective);
             service_lab(&mut out, opts, &start, SumObjective);
         }
         super::GameChoice::Budget(cap) => {
-            let rules =
-                bncg_core::rules::BoundedBudgetGame::<SumObjective>::uniform(start.n(), cap);
-            variant_stream(&mut out, opts, &start, n, rules.clone());
-            service_lab(&mut out, opts, &start, rules);
+            let rules = |n| bncg_core::rules::BoundedBudgetGame::<SumObjective>::uniform(n, cap);
+            variant_stream(&mut out, opts, &start, n, rules(n));
+            service_lab(&mut out, opts, &start, rules(service_n));
         }
         super::GameChoice::Interest(k) => {
-            let rules = bncg_core::rules::InterestGame::ring(start.n(), k);
-            variant_stream(&mut out, opts, &start, n, rules.clone());
-            service_lab(&mut out, opts, &start, rules);
+            let rules = |n| bncg_core::rules::InterestGame::ring(n, k);
+            variant_stream(&mut out, opts, &start, n, rules(n));
+            service_lab(&mut out, opts, &start, rules(service_n));
         }
         super::GameChoice::TwoNeighborhood => {
             let rules = bncg_core::rules::TwoNeighborhoodGame;

@@ -1,52 +1,85 @@
-//! Per-agent responses for the dynamics engine.
+//! Per-agent responses for the dynamics engine: the one response sweep
+//! every game plays through.
 //!
-//! An agent's *best response* is the improving swap with the largest cost
-//! decrease over all of its incident edges and all replacement endpoints;
-//! a *first improving response* is any improving swap (cheaper to find,
-//! and the natural model of the paper's computationally bounded agents,
-//! who only ever weigh one edge against another).
+//! Every game in this workspace moves the same way — agent `v` replaces
+//! one incident edge `vw` by `vw2` — so one sweep owns the search and a
+//! rule set only prices a candidate ([`GameRules::swap_cost`]). For each
+//! incident edge `vw` in CSR neighbor order the sweep builds the masked
+//! APSP of `G − vw` (only when [`GameRules::needs_apsp`] holds), prices
+//! every legal `w2 ∉ {v, w}`, and recycles the scan. An agent at cost 0
+//! cannot improve and is not scanned at all.
 //!
-//! Every path below routes through [`EvalContext`], whose per-edge scans
-//! derive their masked APSPs from the cached base matrix by
-//! copy-plus-repair ([`EdgeSwapScan::from_base`](crate::evaluator::EdgeSwapScan::from_base))
-//! rather than `n` masked BFS runs per scanned edge — the response
-//! computation itself rides the dynamic-distance subsystem, not just the
-//! post-move refresh.
+//! * A **best response** is the cheapest strictly improving swap over all
+//!   incident edges; ties go to the earliest incident edge in CSR order,
+//!   then the smallest `w2`.
+//! * A **first improving response** is the best candidate on the *first*
+//!   incident edge (CSR order) that has an improving one — the paper's
+//!   computationally bounded agent, who weighs one edge at a time. It is
+//!   not the first improving candidate in scan order.
+//!
+//! The masked APSP comes from the cached base matrix by copy-plus-repair
+//! ([`EdgeSwapScan::from_base`](crate::evaluator::EdgeSwapScan::from_base))
+//! rather than `n` masked BFS runs per scanned edge, so the response
+//! computation itself rides the dynamic-distance subsystem.
 
-use bncg_graph::{Csr, Graph, V};
+use bncg_graph::{Graph, V};
 
 use crate::context::EvalContext;
-use crate::objective::Objective;
-use crate::swap::ScoredSwap;
+use crate::evaluator::best_candidate;
+use crate::rules::GameRules;
+use crate::swap::{ScoredSwap, SwapMove};
 
-/// The best improving swap available to agent `v`, or `None` if `v` is
-/// already playing a best response.
+/// The best improving swap available to agent `v` under the rule set `R`,
+/// or `None` if `v` is already playing a best response.
 ///
 /// Convenience wrapper that snapshots `g` into a fresh
 /// [`EvalContext`]; callers evaluating more than one agent (or more than
 /// one round) should construct the context themselves and call
-/// [`EvalContext::best_response`] so the snapshot, base matrix, and
+/// [`GameRules::best_response`] so the snapshot, base matrix, and
 /// scratch buffers are shared across the whole scan.
-pub fn best_response<O: Objective>(g: &Graph, v: V) -> Option<ScoredSwap> {
-    EvalContext::new(g).best_response::<O>(v)
+pub fn best_response<R: GameRules + Default>(g: &Graph, v: V) -> Option<ScoredSwap> {
+    R::default().best_response(&EvalContext::new(g), v)
 }
 
-/// [`best_response`] with a caller-provided CSR snapshot.
-///
-/// Compatibility shim for callers that hold a bare CSR: it clones the
-/// snapshot into a throwaway context (O(n + m), far below one masked
-/// APSP). Hot loops — the dynamics engine, the equilibrium checkers —
-/// hold a real [`EvalContext`] instead and pay neither the clone nor any
-/// per-agent allocation.
-pub fn best_response_csr<O: Objective>(_g: &Graph, csr: &Csr, v: V) -> Option<ScoredSwap> {
-    EvalContext::from_csr(csr.clone()).best_response::<O>(v)
-}
-
-/// The first improving swap found for agent `v` scanning its incident
-/// edges in order, or `None` if none exists. Same compatibility shim as
-/// [`best_response_csr`].
-pub fn first_improving_response<O: Objective>(_g: &Graph, csr: &Csr, v: V) -> Option<ScoredSwap> {
-    EvalContext::from_csr(csr.clone()).first_improving_response::<O>(v)
+/// The sweep behind [`GameRules::best_response`] (`first_edge == false`)
+/// and [`GameRules::first_improving_response`] (`first_edge == true`,
+/// stop after the first incident edge with an improving candidate).
+pub(crate) fn sweep<R: GameRules>(
+    rules: &R,
+    ctx: &EvalContext,
+    v: V,
+    first_edge: bool,
+) -> Option<ScoredSwap> {
+    let old_cost = rules.agent_cost(ctx, v);
+    if old_cost == 0 {
+        return None;
+    }
+    let n = ctx.n() as V;
+    let mut best: Option<ScoredSwap> = None;
+    for &w in ctx.csr().neighbors(v) {
+        let scan = rules.needs_apsp().then(|| ctx.scan(v, w));
+        let found = best_candidate(n, old_cost, |w2| {
+            let mv = SwapMove { v, w, w2 };
+            (w2 != v && w2 != w && rules.legal_move(ctx, &mv))
+                .then(|| rules.swap_cost(ctx, scan.as_ref(), &mv))
+        });
+        if let Some(scan) = scan {
+            scan.recycle();
+        }
+        if let Some((w2, new_cost)) = found {
+            if best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
+                best = Some(ScoredSwap {
+                    mv: SwapMove { v, w, w2 },
+                    old_cost,
+                    new_cost,
+                });
+            }
+            if first_edge {
+                break;
+            }
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -77,9 +110,9 @@ mod tests {
     #[test]
     fn best_response_beats_first_improving() {
         let g = classic::path(9);
-        let csr = g.to_csr();
-        let best = best_response_csr::<SumObjective>(&g, &csr, 0).unwrap();
-        let first = first_improving_response::<SumObjective>(&g, &csr, 0).unwrap();
+        let ctx = EvalContext::new(&g);
+        let best = SumObjective.best_response(&ctx, 0).unwrap();
+        let first = SumObjective.first_improving_response(&ctx, 0).unwrap();
         assert!(best.new_cost <= first.new_cost);
     }
 

@@ -17,7 +17,8 @@
 //!   their buffers instead of allocating.
 //!
 //! The context is `Sync`: parallel sweeps (`find_improving_swap_par`,
-//! `best_responses_par`) share one `&EvalContext` across rayon workers,
+//! [`GameRules::best_responses_par`](crate::rules::GameRules::best_responses_par))
+//! share one `&EvalContext` across rayon workers,
 //! each worker drawing from its own thread-local pools. Parallel variants
 //! return **byte-identical** results to their sequential counterparts —
 //! the winner is selected by lowest edge index, matching the sequential
@@ -58,13 +59,8 @@ pub struct EvalContext {
 impl EvalContext {
     /// Context for the current state of `g` (snapshots the CSR once).
     pub fn new(g: &Graph) -> Self {
-        Self::from_csr(g.to_csr())
-    }
-
-    /// Context wrapping an existing CSR snapshot.
-    pub fn from_csr(csr: Csr) -> Self {
         EvalContext {
-            csr,
+            csr: g.to_csr(),
             base: OnceLock::new(),
         }
     }
@@ -109,12 +105,13 @@ impl EvalContext {
     /// ```
     /// use bncg_core::context::EvalContext;
     /// use bncg_core::objective::SumObjective;
+    /// use bncg_core::rules::GameRules;
     /// use bncg_graph::generators::classic;
     ///
     /// let mut g = classic::path(7);
     /// let mut ctx = EvalContext::new(&g);
     /// ctx.base(); // force the matrix so the move exercises the repair
-    /// let s = ctx.best_response::<SumObjective>(0).expect("endpoint improves");
+    /// let s = SumObjective.best_response(&ctx, 0).expect("endpoint improves");
     /// let rec = s.mv.apply(&mut g);
     /// ctx.refresh_after(&g, &rec);
     /// // The context now scores the *post-move* graph …
@@ -275,62 +272,6 @@ impl EvalContext {
         EdgeSwapScan::from_base(&self.csr, self.base(), v, w)
     }
 
-    /// The best improving swap available to agent `v`, or `None` if `v` is
-    /// already playing a best response. Equivalent to (and replacing) the
-    /// old per-call path that rebuilt the CSR and allocated scratch.
-    pub fn best_response<O: Objective>(&self, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost::<O>(v);
-        let mut best: Option<ScoredSwap> = None;
-        for &w in self.csr.neighbors(v) {
-            let scan = self.scan(v, w);
-            if let Some(s) = scan.best_improving::<O>(v, old) {
-                if best.as_ref().is_none_or(|b| s.new_cost < b.new_cost) {
-                    best = Some(s);
-                }
-            }
-            scan.recycle();
-        }
-        best
-    }
-
-    /// The first improving swap found for agent `v` scanning its incident
-    /// edges in order, or `None` if none exists.
-    pub fn first_improving_response<O: Objective>(&self, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost::<O>(v);
-        for &w in self.csr.neighbors(v) {
-            let scan = self.scan(v, w);
-            let found = scan.best_improving::<O>(v, old);
-            scan.recycle();
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
-    }
-
-    /// Best responses of **all** agents, computed in parallel (one slot per
-    /// agent, `None` where the agent is already best-responding). The
-    /// greedy-global dynamics schedule and the round engine's frozen
-    /// snapshot proposals consume this.
-    pub fn best_responses_par<O: Objective>(&self) -> Vec<Option<ScoredSwap>> {
-        (0..self.n() as V)
-            .into_par_iter()
-            .map(|v| self.best_response::<O>(v))
-            .collect()
-    }
-
-    /// First improving responses of **all** agents against this snapshot,
-    /// computed in parallel (each agent's per-edge scan order — hence the
-    /// witness — matches [`first_improving_response`](Self::first_improving_response)
-    /// exactly). The round engine's first-improving proposal phase
-    /// consumes this.
-    pub fn first_improving_responses_par<O: Objective>(&self) -> Vec<Option<ScoredSwap>> {
-        (0..self.n() as V)
-            .into_par_iter()
-            .map(|v| self.first_improving_response::<O>(v))
-            .collect()
-    }
-
     /// First improving swap over the whole graph in deterministic scan
     /// order (edges ascending, then agent `u` before `v`), or `None` when
     /// the graph is swap-stable under `O`. Sequential with short-circuit.
@@ -450,6 +391,7 @@ impl EvalContext {
 mod tests {
     use super::*;
     use crate::objective::{MaxObjective, SumObjective};
+    use crate::rules::GameRules;
     use bncg_graph::generators::classic;
 
     #[test]
@@ -459,23 +401,10 @@ mod tests {
     }
 
     #[test]
-    fn best_response_matches_per_call_path() {
-        let g = classic::path(9);
-        let ctx = EvalContext::new(&g);
-        for v in 0..9 as V {
-            assert_eq!(
-                ctx.best_response::<SumObjective>(v),
-                crate::best_response::best_response::<SumObjective>(&g, v),
-                "agent {v}"
-            );
-        }
-    }
-
-    #[test]
     fn refresh_tracks_mutations() {
         let mut g = classic::path(6);
         let mut ctx = EvalContext::new(&g);
-        let s = ctx.best_response::<SumObjective>(0).expect("path improves");
+        let s = SumObjective.best_response(&ctx, 0).expect("path improves");
         s.mv.apply(&mut g);
         ctx.refresh(&g);
         assert_eq!(ctx.m(), g.m());
@@ -512,7 +441,7 @@ mod tests {
         let mut ctx = EvalContext::new(&g);
         ctx.base(); // force the matrix so every move exercises the repair
         for _ in 0..12 {
-            let Some(s) = (0..10).find_map(|v| ctx.best_response::<SumObjective>(v)) else {
+            let Some(s) = (0..10).find_map(|v| SumObjective.best_response(&ctx, v)) else {
                 break;
             };
             let rec = s.mv.apply(&mut g);

@@ -26,10 +26,10 @@ use rayon::prelude::*;
 use crate::objective::Objective;
 use crate::swap::{ScoredSwap, SwapMove};
 
-/// Below this vertex count the candidate loop of
-/// [`EdgeSwapScan::best_improving`] runs sequentially: each candidate
-/// costs one `O(n)` row blend, so the loop only becomes worth sharding
-/// over the persistent worker pool once `n²` work is in play.
+/// Below this vertex count the candidate loop ([`best_candidate`]) runs
+/// sequentially: each candidate costs one `O(n)` row blend, so the loop
+/// only becomes worth sharding over the persistent worker pool once `n²`
+/// work is in play.
 const PAR_CANDIDATE_MIN_N: usize = 1024;
 
 /// Candidates per parallel shard of the candidate loop (large enough that
@@ -107,69 +107,25 @@ impl EdgeSwapScan {
 
     /// Scores every candidate `w2 ≠ agent` for `agent ∈ {v, w}` against the
     /// baseline cost `old_cost`, returning the best strictly-improving swap
-    /// (minimum new cost; ties broken by smallest `w2`).
-    ///
-    /// For large `n` the candidate loop is sharded over the persistent
-    /// worker pool in fixed chunks; shard winners are combined in
-    /// ascending chunk order under the same `(new_cost, w2)` ordering, so
-    /// the result is **byte-identical** to the sequential scan.
+    /// (minimum new cost; ties broken by smallest `w2`). Runs the same
+    /// candidate loop as the response sweep of
+    /// [`best_response`](crate::best_response), sharded over the worker
+    /// pool from `n = 1024` with a byte-identical result.
     pub fn best_improving<O: Objective>(&self, agent: V, old_cost: u64) -> Option<ScoredSwap> {
-        telemetry::counter!("swap_scan.sweeps").incr();
         let other = self.other_endpoint(agent);
-        let n = self.masked.n() as V;
-        if (n as usize) < PAR_CANDIDATE_MIN_N {
-            return self.best_improving_range::<O>(agent, other, old_cost, 0, n);
-        }
-        let chunks: Vec<V> = (0..n).step_by(PAR_CANDIDATE_CHUNK).collect();
-        chunks
-            .into_par_iter()
-            .map(|lo| {
-                let hi = (lo + PAR_CANDIDATE_CHUNK as V).min(n);
-                self.best_improving_range::<O>(agent, other, old_cost, lo, hi)
-            })
-            .collect::<Vec<Option<ScoredSwap>>>()
-            .into_iter()
-            .flatten()
-            .reduce(|a, b| if b.new_cost < a.new_cost { b } else { a })
-    }
-
-    /// Sequential candidate scan over `lo..hi` (one shard of
-    /// [`best_improving`](Self::best_improving)).
-    fn best_improving_range<O: Objective>(
-        &self,
-        agent: V,
-        other: V,
-        old_cost: u64,
-        lo: V,
-        hi: V,
-    ) -> Option<ScoredSwap> {
-        let mut best: Option<ScoredSwap> = None;
-        let mut scored = 0u64;
-        let mut improving = 0u64;
-        for w2 in lo..hi {
-            if w2 == agent || w2 == other {
-                continue; // w2 == other re-creates the original graph
-            }
-            let new_cost = self.swap_cost::<O>(agent, w2);
-            scored += 1;
-            if new_cost < old_cost {
-                improving += 1;
-                if best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
-                    best = Some(ScoredSwap {
-                        mv: SwapMove {
-                            v: agent,
-                            w: other,
-                            w2,
-                        },
-                        old_cost,
-                        new_cost,
-                    });
-                }
-            }
-        }
-        telemetry::counter!("swap_scan.candidates").add(scored);
-        telemetry::counter!("swap_scan.improving").add(improving);
-        best
+        best_candidate(self.masked.n() as V, old_cost, |w2| {
+            // w2 == other re-creates the original graph
+            (w2 != agent && w2 != other).then(|| self.swap_cost::<O>(agent, w2))
+        })
+        .map(|(w2, new_cost)| ScoredSwap {
+            mv: SwapMove {
+                v: agent,
+                w: other,
+                w2,
+            },
+            old_cost,
+            new_cost,
+        })
     }
 
     /// The endpoint of the deleted edge that is not `agent`.
@@ -207,6 +163,64 @@ impl EdgeSwapScan {
         }
         out
     }
+}
+
+/// The one candidate loop behind every response: prices each replacement
+/// endpoint `w2 ∈ 0..n` through `price` (`None` skips `w2`: an endpoint of
+/// the deleted edge, or an illegal move) and returns the cheapest strictly
+/// improving candidate as `(w2, new_cost)`, ties broken by smallest `w2`.
+///
+/// For large `n` the loop is sharded over the persistent worker pool in
+/// fixed chunks; shard winners are combined in ascending chunk order under
+/// the same `(new_cost, w2)` ordering, so the result is **byte-identical**
+/// to the sequential loop.
+pub(crate) fn best_candidate<F>(n: V, old_cost: u64, price: F) -> Option<(V, u64)>
+where
+    F: Fn(V) -> Option<u64> + Sync,
+{
+    telemetry::counter!("swap_scan.sweeps").incr();
+    if (n as usize) < PAR_CANDIDATE_MIN_N {
+        return best_candidate_in(&price, old_cost, 0, n);
+    }
+    let chunks: Vec<V> = (0..n).step_by(PAR_CANDIDATE_CHUNK).collect();
+    chunks
+        .into_par_iter()
+        .map(|lo| {
+            let hi = (lo + PAR_CANDIDATE_CHUNK as V).min(n);
+            best_candidate_in(&price, old_cost, lo, hi)
+        })
+        .collect::<Vec<Option<(V, u64)>>>()
+        .into_iter()
+        .flatten()
+        .reduce(|a, b| if b.1 < a.1 { b } else { a })
+}
+
+/// Sequential candidate loop over `lo..hi` (one shard of
+/// [`best_candidate`]).
+fn best_candidate_in<F: Fn(V) -> Option<u64>>(
+    price: &F,
+    old_cost: u64,
+    lo: V,
+    hi: V,
+) -> Option<(V, u64)> {
+    let mut best: Option<(V, u64)> = None;
+    let mut scored = 0u64;
+    let mut improving = 0u64;
+    for w2 in lo..hi {
+        let Some(new_cost) = price(w2) else {
+            continue;
+        };
+        scored += 1;
+        if new_cost < old_cost {
+            improving += 1;
+            if best.is_none_or(|(_, c)| new_cost < c) {
+                best = Some((w2, new_cost));
+            }
+        }
+    }
+    telemetry::counter!("swap_scan.candidates").add(scored);
+    telemetry::counter!("swap_scan.improving").add(improving);
+    best
 }
 
 /// Convenience: cost of agent `v` in `g` under objective `O` via one

@@ -18,10 +18,9 @@
 //! search — comfortably exact for the degree-`2^d` torus agents the paper
 //! considers.
 
-use bncg_graph::{Csr, DistanceMatrix, Graph, V};
+use bncg_graph::{DistanceMatrix, Graph, V};
 
 use crate::stability::solve_min_cover;
-use crate::swap::SwapMove;
 
 /// Outcome of the exact `k`-swap audit at a single vertex.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,28 +116,6 @@ pub fn k_swap_audit(g: &Graph, v: V, k: usize) -> KSwapAudit {
 /// Whether every vertex of `g` is `k`-swap stable (max objective).
 pub fn is_k_swap_stable(g: &Graph, k: usize) -> bool {
     (0..g.n() as V).all(|v| k_swap_audit(g, v, k).is_stable())
-}
-
-/// The `k = 1` move set of agent `v`, enumerated in **exactly** the order
-/// the evaluator's candidate scan visits it: each incident edge `vw` in
-/// CSR neighbor order, then every replacement endpoint `w2` ascending,
-/// skipping `w2 ∈ {v, w}` (a self-loop / the original graph). This is the
-/// generation seam behind
-/// [`GameRules::moves`](crate::rules::GameRules::moves); the equivalence
-/// with [`EdgeSwapScan`](crate::evaluator::EdgeSwapScan)'s enumeration is
-/// pinned by `tests/game_variants.rs`.
-pub fn single_swap_moves(csr: &Csr, v: V) -> Vec<SwapMove> {
-    let n = csr.n() as V;
-    let mut out = Vec::with_capacity(csr.neighbors(v).len() * n.saturating_sub(2) as usize);
-    for &w in csr.neighbors(v) {
-        for w2 in 0..n {
-            if w2 == v || w2 == w {
-                continue;
-            }
-            out.push(SwapMove { v, w, w2 });
-        }
-    }
-    out
 }
 
 fn enumerate_subsets<F: FnMut(&[usize])>(

@@ -19,7 +19,7 @@
 //!
 //! * [`context`] — the pooled [`EvalContext`] every hot path threads
 //!   through: one CSR snapshot + lazily cached base APSP + thread-local
-//!   scratch/matrix pools, with parallel agent/edge sweeps;
+//!   scratch/matrix pools, with parallel edge sweeps;
 //! * [`objective`] — the two usage costs behind one trait;
 //! * [`swap`] — move representation and candidate enumeration;
 //! * [`evaluator`] — the fast scan evaluating *all* candidate swaps of a
@@ -28,7 +28,10 @@
 //!   ([`SumGame`], [`MaxGame`]);
 //! * [`stability`] — deletion-criticality, insertion-stability, and the
 //!   `k`-insertion stability ladder of Section 4;
-//! * [`best_response`] — per-agent best responses for the dynamics engine;
+//! * [`rules`] — the [`GameRules`] rule sets (basic, bounded budget,
+//!   interests, 2-neighborhood): each prices one candidate swap;
+//! * [`best_response`] — the one response sweep every rule set plays
+//!   through (best and first improving responses);
 //! * [`verify`] — slow literal-transcription reference checkers, kept
 //!   independent so property tests can cross-validate the fast path;
 //! * [`lemmas`] — executable forms of Lemma 2, Lemma 3, Lemma 10,

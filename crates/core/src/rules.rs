@@ -1,18 +1,19 @@
 //! The game-rules layer: one dynamics core, many games.
 //!
-//! Every dynamics engine in this workspace — sequential, round-based,
-//! batched, journaled — used to be hardwired to the two
-//! AlonDHL10 usage costs through the [`Objective`] type parameter. The
-//! [`GameRules`] trait lifts that seam one level: a rule set owns
-//! **objective evaluation** (`agent_cost`, `social_cost`), **move
-//! generation** (`moves`, the response sweeps), and **move legality**
-//! (`legal_move` at proposal time, `legal_in_batch` at the round
-//! barrier), and the engines consult only the trait. The basic game is
-//! recovered exactly by implementing `GameRules` for the two existing
-//! [`Objective`]s — those impls delegate verbatim to the
-//! [`EvalContext`] sweep methods, so basic-game trajectories are
-//! byte-identical to the pre-trait engines (pinned by
-//! `tests/game_conformance.rs` against committed goldens).
+//! Every game in this workspace moves the same way: an agent replaces one
+//! incident edge `vw` by `vw2`. A [`GameRules`] rule set therefore does not
+//! search for moves; it **prices** them. It owns objective evaluation
+//! (`agent_cost`, `social_cost`), the price of one candidate swap
+//! (`swap_cost`), and move legality (`legal_move` at proposal time,
+//! `legal_in_batch` at the round barrier). The response sweeps
+//! (`best_response`, `first_improving_response` and their `_par` fan-outs)
+//! are provided methods over the one sweep in
+//! [`best_response`](crate::best_response), which owns edge order, the
+//! masked-APSP scan, the legality filter and the tie order. The engines
+//! consult only the trait. The basic game implements `GameRules` for the
+//! two existing [`Objective`]s, and its trajectories are byte-identical to
+//! the pre-trait engines (pinned by `tests/game_conformance.rs` against
+//! committed goldens).
 //!
 //! Three variant rule sets from the related-work literature ship here:
 //!
@@ -30,7 +31,7 @@
 //!   local objective: [`GameRules::needs_apsp`] is `false` and every
 //!   evaluation walks the CSR directly, so engines must not build (or
 //!   repair) a distance matrix at all — asserted via the `apsp.*`
-//!   telemetry counters in `tests/game_variants.rs`.
+//!   telemetry counters in `tests/game_telemetry.rs`.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -38,8 +39,9 @@ use std::sync::Arc;
 use bncg_graph::{kernels, Csr, Graph, V};
 use rayon::prelude::*;
 
+use crate::best_response::sweep;
 use crate::context::EvalContext;
-use crate::kswap::single_swap_moves;
+use crate::evaluator::EdgeSwapScan;
 use crate::objective::{MaxObjective, Objective, SumObjective, INFINITE_COST};
 use crate::swap::{ScoredSwap, SwapMove};
 
@@ -52,9 +54,10 @@ use crate::swap::{ScoredSwap, SwapMove};
 /// rules into the one-session service it plays through.
 ///
 /// # Determinism contract
-/// `best_response` must break ties exactly like the basic scan — minimum
-/// new cost, then smallest replacement endpoint `w2`, then earliest
-/// incident edge in CSR neighbor order — and `*_responses_par` must
+/// Responses come from one sweep (see [`best_response`](crate::best_response)):
+/// a best response is the lowest-cost strictly improving legal swap, ties
+/// broken by the earliest incident edge in CSR neighbor order, then the
+/// smallest replacement endpoint `w2`. The `*_responses_par` methods
 /// return slot-per-agent vectors identical to mapping the sequential
 /// method over `0..n`. The cross-engine conformance harness
 /// (`bncg::conformance`) assumes nothing else.
@@ -68,9 +71,10 @@ pub trait GameRules: Clone + Send + Sync + 'static {
     ///
     /// When `false`, engines skip every APSP touch-point: no eager base
     /// build at run start, no matrix CRC in journal checkpoints, no
-    /// base rebuild on journal replay. Local objectives (the
-    /// 2-neighborhood game) turn `O(n²)`-per-round bookkeeping into
-    /// nothing.
+    /// base rebuild on journal replay, and no masked scan in the response
+    /// sweep ([`swap_cost`](Self::swap_cost) gets `None`). Local
+    /// objectives (the 2-neighborhood game) turn `O(n²)`-per-round
+    /// bookkeeping into nothing.
     fn needs_apsp(&self) -> bool {
         true
     }
@@ -79,18 +83,29 @@ pub trait GameRules: Clone + Send + Sync + 'static {
     /// the agent cannot reach someone it pays for).
     fn agent_cost(&self, ctx: &EvalContext, v: V) -> u64;
 
-    /// The best legal improving swap available to agent `v` (minimum new
+    /// Cost of agent `mv.v` after the swap `mv` (replace edge `v–w` by
+    /// `v–w2`). `scan` is the masked APSP of `G − vw`, present exactly
+    /// when [`needs_apsp`](Self::needs_apsp) holds. The sweep calls this
+    /// only for legal moves with `w2 ∉ {v, w}`.
+    fn swap_cost(&self, ctx: &EvalContext, scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64;
+
+    /// The best legal improving swap available to agent `v` (lowest new
     /// cost; ties per the determinism contract), or `None` if `v` cannot
     /// improve.
-    fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap>;
+    fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
+        sweep(self, ctx, v, false)
+    }
 
-    /// The first legal improving swap in scan order, or `None`.
-    fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap>;
+    /// The best legal improving swap on the first incident edge (CSR
+    /// order) that has one, or `None`. This is not the first improving
+    /// candidate in scan order: within that edge the best candidate wins.
+    fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
+        sweep(self, ctx, v, true)
+    }
 
     /// Best responses of all agents against one frozen snapshot, one slot
-    /// per agent. The default fans the sequential method over rayon;
-    /// basic-game impls override with the pre-trait parallel sweep (same
-    /// answer, shared telemetry shape).
+    /// per agent: [`best_response`](Self::best_response) fanned over the
+    /// worker pool.
     fn best_responses_par(&self, ctx: &EvalContext) -> Vec<Option<ScoredSwap>> {
         (0..ctx.n() as V)
             .into_par_iter()
@@ -121,17 +136,6 @@ pub trait GameRules: Clone + Send + Sync + 'static {
         Some(total)
     }
 
-    /// The legal move set of agent `v` in the snapshot. Default: the
-    /// `k = 1` swap enumeration ([`single_swap_moves`], exactly the
-    /// evaluator's candidate order) filtered by
-    /// [`legal_move`](Self::legal_move).
-    fn moves(&self, ctx: &EvalContext, v: V) -> Vec<SwapMove> {
-        single_swap_moves(ctx.csr(), v)
-            .into_iter()
-            .filter(|mv| self.legal_move(ctx, mv))
-            .collect()
-    }
-
     /// Proposal-time legality of a single move against the snapshot.
     /// Default: everything is legal (the basic game).
     fn legal_move(&self, _ctx: &EvalContext, _mv: &SwapMove) -> bool {
@@ -149,6 +153,11 @@ pub trait GameRules: Clone + Send + Sync + 'static {
     }
 }
 
+/// The masked scan a distance-based rule set prices against.
+fn masked(scan: Option<&EdgeSwapScan>) -> &EdgeSwapScan {
+    scan.expect("a rule set with needs_apsp() is priced on a masked scan")
+}
+
 // ---------------------------------------------------------------------------
 // The basic game: GameRules for the two paper objectives.
 // ---------------------------------------------------------------------------
@@ -164,20 +173,13 @@ macro_rules! basic_game_rules {
                 ctx.agent_cost::<$ty>(v)
             }
 
-            fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-                ctx.best_response::<$ty>(v)
-            }
-
-            fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-                ctx.first_improving_response::<$ty>(v)
-            }
-
-            fn best_responses_par(&self, ctx: &EvalContext) -> Vec<Option<ScoredSwap>> {
-                ctx.best_responses_par::<$ty>()
-            }
-
-            fn first_improving_responses_par(&self, ctx: &EvalContext) -> Vec<Option<ScoredSwap>> {
-                ctx.first_improving_responses_par::<$ty>()
+            fn swap_cost(
+                &self,
+                _ctx: &EvalContext,
+                scan: Option<&EdgeSwapScan>,
+                mv: &SwapMove,
+            ) -> u64 {
+                masked(scan).swap_cost::<$ty>(mv.v, mv.w2)
             }
 
             fn social_cost(&self, ctx: &EvalContext) -> Option<u64> {
@@ -265,58 +267,8 @@ impl<O: Objective> GameRules for BoundedBudgetGame<O> {
         ctx.agent_cost::<O>(v)
     }
 
-    fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost(ctx, v);
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        let mut best: Option<ScoredSwap> = None;
-        for &w in csr.neighbors(v) {
-            let scan = ctx.scan(v, w);
-            for w2 in 0..n {
-                if w2 == v || w2 == w || !self.target_ok(csr, v, w2) {
-                    continue;
-                }
-                let new_cost = scan.swap_cost::<O>(v, w2);
-                if new_cost < old && best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
-                    best = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                }
-            }
-            scan.recycle();
-        }
-        best
-    }
-
-    fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost(ctx, v);
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        for &w in csr.neighbors(v) {
-            let scan = ctx.scan(v, w);
-            let mut found: Option<ScoredSwap> = None;
-            for w2 in 0..n {
-                if w2 == v || w2 == w || !self.target_ok(csr, v, w2) {
-                    continue;
-                }
-                let new_cost = scan.swap_cost::<O>(v, w2);
-                if new_cost < old {
-                    found = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                    break;
-                }
-            }
-            scan.recycle();
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
+    fn swap_cost(&self, _ctx: &EvalContext, scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64 {
+        masked(scan).swap_cost::<O>(mv.v, mv.w2)
     }
 
     fn social_cost(&self, ctx: &EvalContext) -> Option<u64> {
@@ -413,68 +365,9 @@ impl GameRules for InterestGame {
         kernels::masked_row_cost(ctx.base().row(v), self.interests(v))
     }
 
-    fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost(ctx, v);
-        let iv = self.interests(v);
-        if iv.is_empty() {
-            return None;
-        }
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        let mut best: Option<ScoredSwap> = None;
-        for &w in csr.neighbors(v) {
-            let scan = ctx.scan(v, w);
-            let row_v = scan.masked().row(v);
-            for w2 in 0..n {
-                if w2 == v || w2 == w {
-                    continue;
-                }
-                let new_cost = kernels::masked_blend_cost_sum(row_v, scan.masked().row(w2), iv);
-                if new_cost < old && best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
-                    best = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                }
-            }
-            scan.recycle();
-        }
-        best
-    }
-
-    fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let old = self.agent_cost(ctx, v);
-        let iv = self.interests(v);
-        if iv.is_empty() {
-            return None;
-        }
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        for &w in csr.neighbors(v) {
-            let scan = ctx.scan(v, w);
-            let row_v = scan.masked().row(v);
-            let mut found: Option<ScoredSwap> = None;
-            for w2 in 0..n {
-                if w2 == v || w2 == w {
-                    continue;
-                }
-                let new_cost = kernels::masked_blend_cost_sum(row_v, scan.masked().row(w2), iv);
-                if new_cost < old {
-                    found = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                    break;
-                }
-            }
-            scan.recycle();
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
+    fn swap_cost(&self, _ctx: &EvalContext, scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64 {
+        let m = masked(scan).masked();
+        kernels::masked_blend_cost_sum(m.row(mv.v), m.row(mv.w2), self.interests(mv.v))
     }
 }
 
@@ -540,49 +433,8 @@ impl GameRules for TwoNeighborhoodGame {
         Self::b2_cost(ctx.csr(), v, None, None)
     }
 
-    fn best_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        let old = Self::b2_cost(csr, v, None, None);
-        let mut best: Option<ScoredSwap> = None;
-        for &w in csr.neighbors(v) {
-            for w2 in 0..n {
-                if w2 == v || w2 == w {
-                    continue;
-                }
-                let new_cost = Self::b2_cost(csr, v, Some(w), Some(w2));
-                if new_cost < old && best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
-                    best = Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                }
-            }
-        }
-        best
-    }
-
-    fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        let csr = ctx.csr();
-        let n = ctx.n() as V;
-        let old = Self::b2_cost(csr, v, None, None);
-        for &w in csr.neighbors(v) {
-            for w2 in 0..n {
-                if w2 == v || w2 == w {
-                    continue;
-                }
-                let new_cost = Self::b2_cost(csr, v, Some(w), Some(w2));
-                if new_cost < old {
-                    return Some(ScoredSwap {
-                        mv: SwapMove { v, w, w2 },
-                        old_cost: old,
-                        new_cost,
-                    });
-                }
-            }
-        }
-        None
+    fn swap_cost(&self, ctx: &EvalContext, _scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64 {
+        Self::b2_cost(ctx.csr(), mv.v, Some(mv.w), Some(mv.w2))
     }
 }
 
@@ -596,14 +448,23 @@ mod tests {
     }
 
     #[test]
-    fn basic_rules_delegate_to_context_paths() {
+    fn basic_rules_match_the_edge_scan() {
+        // The sweep's best response is the cheapest per-edge
+        // `EdgeSwapScan::best_improving` winner, earliest edge on a tie.
         let g = classic::path(9);
         let ctx = ctx_of(&g);
         for v in 0..9 {
-            assert_eq!(
-                GameRules::best_response(&SumObjective, &ctx, v),
-                ctx.best_response::<SumObjective>(v)
-            );
+            let old = ctx.agent_cost::<SumObjective>(v);
+            let mut expected: Option<ScoredSwap> = None;
+            for &w in g.neighbors(v) {
+                let found = ctx.scan(v, w).best_improving::<SumObjective>(v, old);
+                if let Some(s) = found {
+                    if expected.as_ref().is_none_or(|b| s.new_cost < b.new_cost) {
+                        expected = Some(s);
+                    }
+                }
+            }
+            assert_eq!(GameRules::best_response(&SumObjective, &ctx, v), expected);
             assert_eq!(
                 GameRules::agent_cost(&MaxObjective, &ctx, v),
                 ctx.agent_cost::<MaxObjective>(v)
@@ -639,7 +500,12 @@ mod tests {
         for v in 0..8 {
             assert_eq!(
                 rules.best_response(&ctx, v),
-                ctx.best_response::<SumObjective>(v)
+                SumObjective.best_response(&ctx, v)
+            );
+            assert_eq!(
+                rules.first_improving_response(&ctx, v),
+                SumObjective.first_improving_response(&ctx, v),
+                "agent {v}"
             );
         }
     }
@@ -673,23 +539,5 @@ mod tests {
         assert!(best.new_cost < best.old_cost);
         // Social cost is defined (finite) even though no APSP exists.
         assert!(rules.social_cost(&ctx).is_some());
-    }
-
-    #[test]
-    fn default_moves_filter_respects_legality() {
-        let g = classic::cycle(6);
-        let ctx = ctx_of(&g);
-        let basic_moves = GameRules::moves(&SumObjective, &ctx, 0);
-        // cycle: deg 2, n=6 → 2 * (6-2) = 8 candidate moves.
-        assert_eq!(basic_moves.len(), 8);
-        let rules: BoundedBudgetGame<SumObjective> = BoundedBudgetGame::from_degrees(&g, 0);
-        let constrained = rules.moves(&ctx, 0);
-        // Zero slack: only deletion-degenerate targets stay legal; on a
-        // cycle each neighbor's other neighbor is not adjacent to 0, so
-        // every insertion is blocked except swaps onto existing neighbors.
-        assert!(constrained.len() < basic_moves.len());
-        for mv in &constrained {
-            assert!(rules.legal_move(&ctx, mv));
-        }
     }
 }

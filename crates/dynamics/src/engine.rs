@@ -36,8 +36,10 @@ pub enum Schedule {
 pub enum Response {
     /// Apply the agent's best improving swap.
     Best,
-    /// Apply the first improving swap found (the paper's minimal
-    /// computationally-bounded agent).
+    /// Apply the best swap on the first incident edge (CSR order) that
+    /// has an improving one — the paper's minimal computationally-bounded
+    /// agent, who weighs one edge at a time. Not the first improving
+    /// candidate in scan order.
     FirstImproving,
 }
 

@@ -249,7 +249,12 @@ impl<R: GameRules> RoundService<R> {
 
     /// [`resume`](Self::resume) with an explicit rule set — required for
     /// game variants whose rules carry state the journal does not record.
-    /// The journal's seed tag must match `rules.name()`.
+    /// The journal's seed tag must match `rules.name()`, and a rule set
+    /// with per-agent state ([`BoundedBudgetGame`](bncg_core::rules::BoundedBudgetGame),
+    /// [`InterestGame`](bncg_core::rules::InterestGame)) must be sized for
+    /// the vertex count of the journal's seed graph, not of any other
+    /// start graph: decode the `Seed` record of
+    /// [`read_journal`](crate::recovery::read_journal) to learn it.
     pub fn resume_with_rules(path: &Path, rules: R) -> Result<(Self, ResumeReport), RecoveryError> {
         let scan = recovery::read_journal(path)?;
         let truncated = recovery::truncate_torn_tail(path, &scan)?;

@@ -15,13 +15,14 @@
 use bncg::dynamics::engine::{DynamicsConfig, Response, Schedule};
 use bncg::dynamics::rounds::{RoundConfig, RoundDynamics};
 use bncg::game::context::EvalContext;
-use bncg::game::objective::{MaxObjective, Objective, SumObjective};
+use bncg::game::objective::{MaxObjective, SumObjective};
+use bncg::game::rules::GameRules;
 use bncg::game::{MaxGame, SumGame};
 use bncg::graph::{DistanceMatrix, Graph, V};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn trace_dynamics<O: Objective>(label: &str, start: &Graph) -> Graph {
+fn trace_dynamics<R: GameRules + Default>(label: &str, start: &Graph) -> Graph {
     println!("--- {label} dynamics ---");
     println!(
         "{:>6} {:>9} {:>10} {:>12} {:>9}",
@@ -34,7 +35,7 @@ fn trace_dynamics<O: Objective>(label: &str, start: &Graph) -> Graph {
         round += 1;
         let mut moves = 0usize;
         for v in 0..g.n() as V {
-            if let Some(s) = ctx.best_response::<O>(v) {
+            if let Some(s) = R::default().best_response(&ctx, v) {
                 s.mv.apply(&mut g);
                 ctx.refresh(&g);
                 moves += 1;

@@ -12,6 +12,7 @@
 
 use bncg::game::context::EvalContext;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
+use bncg::game::rules::GameRules;
 use bncg::graph::dynamic::DynamicApsp;
 use bncg::graph::generators::random::{gnp, random_tree};
 use bncg::graph::{Graph, V};
@@ -197,7 +198,7 @@ fn context_reads_match_fresh_context_across_trajectory() {
     let mut ctx = EvalContext::new(&g);
     ctx.base(); // force the maintained matrix + aggregates
     for _ in 0..20 {
-        let Some(s) = (0..12).find_map(|v| ctx.best_response::<SumObjective>(v)) else {
+        let Some(s) = (0..12).find_map(|v| SumObjective.best_response(&ctx, v)) else {
             break;
         };
         let rec = s.mv.apply(&mut g);

@@ -196,7 +196,7 @@ fn replay_batches_and_check(mut g: Graph, seed: u64, rounds: usize, k: usize) ->
 }
 
 #[test]
-fn five_hundred_plus_swaps_match_bfs_at_both_threshold_extremes() {
+fn five_hundred_plus_swaps_match_bfs() {
     // Deterministic volume floor: ≥ 500 verified swaps (matrix and exact
     // stage-A count) across ER graphs and trees.
     let mut rng = StdRng::seed_from_u64(0x57AA7);
@@ -216,7 +216,7 @@ fn five_hundred_plus_swaps_match_bfs_at_both_threshold_extremes() {
 }
 
 #[test]
-fn batch_repairs_match_bfs_at_both_threshold_extremes() {
+fn batch_repairs_match_bfs() {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
     let mut total = 0usize;
     for round in 0..2 {
@@ -252,7 +252,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn er_swap_sequences_match_rebuild_at_both_threshold_extremes(
+    fn er_swap_sequences_match_rebuild(
         g in er_graph(40),
         seed in any::<u64>(),
     ) {
@@ -260,7 +260,7 @@ proptest! {
     }
 
     #[test]
-    fn tree_swap_sequences_match_rebuild_at_both_threshold_extremes(
+    fn tree_swap_sequences_match_rebuild(
         t in tree(32),
         seed in any::<u64>(),
     ) {
@@ -268,7 +268,7 @@ proptest! {
     }
 
     #[test]
-    fn er_batch_repairs_match_bfs_at_both_threshold_extremes(
+    fn er_batch_repairs_match_bfs(
         g in er_graph(36),
         seed in any::<u64>(),
     ) {
@@ -276,7 +276,7 @@ proptest! {
     }
 
     #[test]
-    fn tree_batch_repairs_match_bfs_at_both_threshold_extremes(
+    fn tree_batch_repairs_match_bfs(
         t in tree(30),
         seed in any::<u64>(),
     ) {

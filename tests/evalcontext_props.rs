@@ -13,6 +13,7 @@ use bncg::game::context::EvalContext;
 use bncg::game::equilibrium::{MaxGame, SumGame};
 use bncg::game::evaluator::EdgeSwapScan;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
+use bncg::game::rules::GameRules;
 use bncg::graph::generators::random::{gnp, random_tree};
 use bncg::graph::{BfsScratch, Graph, V};
 use proptest::prelude::*;
@@ -76,12 +77,12 @@ fn naive_find_improving_swap<O: Objective>(g: &Graph) -> Option<bncg::game::Scor
     None
 }
 
-fn assert_all_paths_agree<O: Objective>(g: &Graph) {
+fn assert_all_paths_agree<O: Objective + GameRules + Default>(g: &Graph) {
     let ctx = EvalContext::new(g);
     // Per-agent best responses: pooled == naive, byte for byte.
     for v in 0..g.n() as V {
         assert_eq!(
-            ctx.best_response::<O>(v),
+            O::default().best_response(&ctx, v),
             naive_best_response::<O>(g, v),
             "best response diverged for agent {v} under {}",
             O::NAME
@@ -162,8 +163,8 @@ proptest! {
         let mut ctx = EvalContext::new(&g);
         for _ in 0..6 {
             let v = rand::Rng::gen_range(&mut rng, 0..g.n()) as V;
-            let pooled = ctx.best_response::<SumObjective>(v);
-            let fresh = EvalContext::new(&g).best_response::<SumObjective>(v);
+            let pooled = SumObjective.best_response(&ctx, v);
+            let fresh = SumObjective.best_response(&EvalContext::new(&g), v);
             prop_assert_eq!(&pooled, &fresh);
             if let Some(s) = pooled {
                 s.mv.apply(&mut g);

@@ -27,6 +27,7 @@ use bncg::dynamics::rounds::RoundConfig;
 use bncg::dynamics::service::{AuditPolicy, JournalOptions, RoundService, ServiceConfig};
 use bncg::dynamics::sink::MemorySink;
 use bncg::game::context::EvalContext;
+use bncg::game::evaluator::EdgeSwapScan;
 use bncg::game::objective::{MaxObjective, SumObjective};
 use bncg::game::rules::GameRules;
 use bncg::game::swap::{ScoredSwap, SwapMove};
@@ -206,8 +207,8 @@ impl GameRules for PanicOnce {
         SumObjective.best_response(ctx, v)
     }
 
-    fn first_improving_response(&self, ctx: &EvalContext, v: V) -> Option<ScoredSwap> {
-        SumObjective.first_improving_response(ctx, v)
+    fn swap_cost(&self, ctx: &EvalContext, scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64 {
+        SumObjective.swap_cost(ctx, scan, mv)
     }
 
     fn social_cost(&self, ctx: &EvalContext) -> Option<u64> {

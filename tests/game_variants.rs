@@ -1,14 +1,16 @@
 //! Paper-sanity properties of the shipped game variants.
 //!
-//! One test family per rule set:
+//! One test family per rule set, plus one oracle for all of them:
 //! - **Bounded budgets** — no accepted move (in any engine, batched or
 //!   sequential) ever pushes a vertex past its edge budget.
 //! - **Communication interests** — the masked-kernel agent cost equals a
 //!   brute-force BFS sum over the interest set, reachable or not.
-//! - **k-swap move sets** — [`single_swap_moves`] enumerates exactly the
-//!   candidate set the evaluator's swap scan visits, `GameRules::moves`
-//!   at `k = 1` is that set under the basic game, and 1-swap stability
-//!   from the k-swap auditor coincides with "no improving response".
+//! - **Response oracle** — for all five rule sets, `best_response` and
+//!   `first_improving_response` equal a brute force that applies every
+//!   legal swap to a graph copy and prices it by BFS, sharing no code with
+//!   the masked-APSP swap scan.
+//! - **k-swap stability** — 1-swap stability from the k-swap auditor
+//!   coincides with "no improving response".
 //!
 //! The 2-neighborhood game's no-APSP guarantee lives in its own binary
 //! (`tests/game_telemetry.rs`) because it asserts on process-global
@@ -19,14 +21,16 @@ use std::collections::VecDeque;
 use bncg::dynamics::engine::Response;
 use bncg::dynamics::rounds::{step_round, RoundConfig, RoundDynamics};
 use bncg::game::context::EvalContext;
-use bncg::game::kswap::{is_k_swap_stable, k_swap_audit, single_swap_moves};
+use bncg::game::kswap::{is_k_swap_stable, k_swap_audit};
 use bncg::game::objective::{MaxObjective, SumObjective, INFINITE_COST};
-use bncg::game::rules::{BoundedBudgetGame, GameRules, InterestGame};
+use bncg::game::rules::{BoundedBudgetGame, GameRules, InterestGame, TwoNeighborhoodGame};
+use bncg::game::swap::{ScoredSwap, SwapMove};
 use bncg::graph::generators::classic;
 use bncg::graph::generators::random::{gnp, random_tree};
 use bncg::graph::{Graph, V};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------------------
 // Bounded budgets.
@@ -158,52 +162,147 @@ fn empty_interest_sets_cost_nothing_and_never_move() {
 }
 
 // ---------------------------------------------------------------------------
-// k-swap move sets through `GameRules::moves`.
+// A brute-force response oracle for all five rule sets.
 
-#[test]
-fn single_swap_moves_match_the_scan_enumeration_order() {
-    let mut rng = StdRng::seed_from_u64(0x5CA7);
-    for i in 0..4 {
-        let g = gnp(&mut rng, 14 + i, 0.25);
-        let csr = g.to_csr();
-        let n = g.n() as V;
-        for v in 0..n {
-            // The reference enumeration: incident edges in CSR order,
-            // replacement endpoints ascending, skipping {v, w} — exactly
-            // what EdgeSwapScan's candidate sweep visits.
-            let mut reference = Vec::new();
-            for &w in csr.neighbors(v) {
-                for w2 in 0..n {
-                    if w2 != v && w2 != w {
-                        reference.push((v, w, w2));
-                    }
-                }
+/// What an agent pays for, priced from one BFS of the whole graph.
+#[derive(Clone, Copy)]
+enum Pays<'a> {
+    /// Sum of distances to everyone.
+    Sum,
+    /// Largest distance to anyone (local diameter).
+    Max,
+    /// Sum of distances to the agent's interest set.
+    Interest(&'a InterestGame),
+    /// `n − |B₂(v)|`: everyone farther than 2 hops.
+    TwoBall,
+}
+
+/// Agent `v`'s cost in `g` by BFS ([`INFINITE_COST`] when it cannot reach
+/// someone it pays for).
+fn brute_cost(g: &Graph, v: V, pays: Pays) -> u64 {
+    let dist = bfs(g, v);
+    let all = || dist.iter().map(|d| d.map(u64::from));
+    match pays {
+        Pays::Sum => all().sum::<Option<u64>>().unwrap_or(INFINITE_COST),
+        Pays::Max => all()
+            .try_fold(0, |m, d| d.map(|d| d.max(m)))
+            .unwrap_or(INFINITE_COST),
+        Pays::Interest(rules) => brute_interest_cost(g, v, rules.interests(v)),
+        Pays::TwoBall => dist.iter().filter(|d| d.is_none_or(|d| d > 2)).count() as u64,
+    }
+}
+
+/// Best and first improving responses of agent `v` by the documented
+/// rule, every candidate priced on a swapped graph copy. Candidates are
+/// incident edges `vw` in neighbor order, then `w2` ascending, skipping
+/// `w2 ∈ {v, w}` and moves `legal` refuses. Best: lowest cost, then
+/// earliest edge, then smallest `w2`. First: the best candidate of the
+/// first edge that has an improving one.
+fn brute_responses(
+    g: &Graph,
+    v: V,
+    pays: Pays,
+    legal: impl Fn(V) -> bool,
+) -> (Option<ScoredSwap>, Option<ScoredSwap>) {
+    let old_cost = brute_cost(g, v, pays);
+    let (mut best, mut first): (Option<ScoredSwap>, Option<ScoredSwap>) = (None, None);
+    for &w in g.neighbors(v) {
+        let mut edge_best: Option<ScoredSwap> = None;
+        for w2 in 0..g.n() as V {
+            if w2 == v || w2 == w || !legal(w2) {
+                continue;
             }
-            let moves: Vec<_> = single_swap_moves(&csr, v)
-                .into_iter()
-                .map(|m| (m.v, m.w, m.w2))
-                .collect();
-            assert_eq!(moves, reference, "agent {v} on graph {i}");
+            let mut h = g.clone();
+            h.remove_edge(v, w);
+            h.add_edge(v, w2);
+            let new_cost = brute_cost(&h, v, pays);
+            if new_cost < old_cost && edge_best.is_none_or(|b| new_cost < b.new_cost) {
+                edge_best = Some(ScoredSwap {
+                    mv: SwapMove { v, w, w2 },
+                    old_cost,
+                    new_cost,
+                });
+            }
+        }
+        if let Some(s) = edge_best {
+            if best.is_none_or(|b| s.new_cost < b.new_cost) {
+                best = Some(s);
+            }
+            first = first.or(edge_best);
         }
     }
+    (best, first)
 }
 
-#[test]
-fn basic_game_moves_are_the_unfiltered_single_swap_set() {
-    let mut rng = StdRng::seed_from_u64(0x5CA8);
-    let g = gnp(&mut rng, 16, 0.2);
-    let ctx = EvalContext::new(&g);
+/// Holds `rules`' two responses to the oracle's for every agent of `g`.
+fn assert_matches_oracle<R: GameRules>(
+    g: &Graph,
+    rules: &R,
+    pays: Pays,
+    legal: impl Fn(V, V) -> bool,
+) {
+    let ctx = EvalContext::new(g);
     for v in 0..g.n() as V {
+        let (best, first) = brute_responses(g, v, pays, |w2| legal(v, w2));
+        let label = format!("{} agent {v} on {:?}", rules.name(), g.edge_vec());
+        assert_eq!(rules.best_response(&ctx, v), best, "best response, {label}");
         assert_eq!(
-            GameRules::moves(&SumObjective, &ctx, v),
-            single_swap_moves(&g.to_csr(), v)
-        );
-        assert_eq!(
-            GameRules::moves(&MaxObjective, &ctx, v),
-            single_swap_moves(&g.to_csr(), v)
+            rules.first_improving_response(&ctx, v),
+            first,
+            "first improving, {label}"
         );
     }
 }
+
+/// All five rule sets against the oracle on one graph. Random budgets of
+/// `deg` or `deg + 1` leave about half the targets full; random interest
+/// sets of 0–3 vertices leave some agents with nothing to pay for.
+fn assert_all_games_match_oracle(g: &Graph, seed: u64) {
+    assert_matches_oracle(g, &SumObjective, Pays::Sum, |_, _| true);
+    assert_matches_oracle(g, &MaxObjective, Pays::Max, |_, _| true);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = g.n() as V;
+    let budgets: Vec<u32> = (0..n)
+        .map(|x| g.neighbors(x).len() as u32 + rng.gen_range(0..2u32))
+        .collect();
+    // Legal: a deletion-degenerate swap, or a target below its budget.
+    let within_budget =
+        |v: V, w2: V| g.has_edge(v, w2) || (g.neighbors(w2).len() as u32) < budgets[w2 as usize];
+    let budget_sum = BoundedBudgetGame::<SumObjective>::new(budgets.clone());
+    assert_matches_oracle(g, &budget_sum, Pays::Sum, within_budget);
+    let budget_max = BoundedBudgetGame::<MaxObjective>::new(budgets.clone());
+    assert_matches_oracle(g, &budget_max, Pays::Max, within_budget);
+    let interests = InterestGame::new(
+        (0..n)
+            .map(|_| {
+                let k = rng.gen_range(0..4usize);
+                (0..k).map(|_| rng.gen_range(0..n)).collect()
+            })
+            .collect(),
+    );
+    assert_matches_oracle(g, &interests, Pays::Interest(&interests), |_, _| true);
+    assert_matches_oracle(g, &TwoNeighborhoodGame, Pays::TwoBall, |_, _| true);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn responses_match_a_brute_force_oracle_on_er_graphs(n in 4usize..=16, seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Sparse enough to leave some graphs disconnected.
+        assert_all_games_match_oracle(&gnp(&mut rng, n, 0.2), seed);
+    }
+
+    #[test]
+    fn responses_match_a_brute_force_oracle_on_trees(n in 4usize..=16, seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        assert_all_games_match_oracle(&random_tree(&mut rng, n), seed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// k-swap stability.
 
 #[test]
 fn one_swap_stability_coincides_with_no_improving_response() {

@@ -22,6 +22,7 @@ use bncg::dynamics::rounds::{resolve_round_with, step_round};
 use bncg::game::context::EvalContext;
 use bncg::game::evaluator::EdgeSwapScan;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
+use bncg::game::rules::GameRules;
 use bncg::graph::adjacency::{Edge, SwapApplied};
 use bncg::graph::dynamic::{masked_apsp_from_base, DynamicApsp};
 use bncg::graph::generators::random::{gnp, random_tree};
@@ -308,7 +309,7 @@ proptest! {
     #[test]
     fn resolution_is_deterministic_and_conflict_free(g in er_graph(24)) {
         let ctx = EvalContext::new(&g);
-        let proposals = ctx.best_responses_par::<SumObjective>();
+        let proposals = SumObjective.best_responses_par(&ctx);
         // The basic game's `legal_in_batch` is the no-veto default, so
         // footprint disjointness alone decides acceptance.
         let a = resolve_round_with(&SumObjective, &ctx, &proposals);
