@@ -4,10 +4,11 @@
 //! Every game in this workspace moves the same way — agent `v` replaces
 //! one incident edge `vw` by `vw2` — so one sweep owns the search and a
 //! rule set only prices a candidate ([`GameRules::swap_cost`]). For each
-//! incident edge `vw` in CSR neighbor order the sweep builds the masked
-//! APSP of `G − vw` (only when [`GameRules::needs_apsp`] holds), prices
-//! every legal `w2 ∉ {v, w}`, and recycles the scan. An agent at cost 0
-//! cannot improve and is not scanned at all.
+//! incident edge `vw` in CSR neighbor order the sweep builds the rule
+//! set's view of `G − vw` ([`GameRules::edge_view`]), prices every legal
+//! `w2 ∉ {v, w}` against it, and hands the view back
+//! ([`GameRules::recycle_view`]). An agent at cost 0 cannot improve and is
+//! not scanned at all.
 //!
 //! * A **best response** is the cheapest strictly improving swap over all
 //!   incident edges; ties go to the earliest incident edge in CSR order,
@@ -17,10 +18,12 @@
 //!   computationally bounded agent, who weighs one edge at a time. It is
 //!   not the first improving candidate in scan order.
 //!
-//! The masked APSP comes from the cached base matrix by copy-plus-repair
-//! ([`EdgeSwapScan::from_base`](crate::evaluator::EdgeSwapScan::from_base))
-//! rather than `n` masked BFS runs per scanned edge, so the response
-//! computation itself rides the dynamic-distance subsystem.
+//! The distance-based views come from the cached base matrix by
+//! copy-plus-repair — the whole masked APSP for the basic and budget
+//! games ([`EdgeSwapScan::from_base`](crate::evaluator::EdgeSwapScan::from_base)),
+//! the interest rows alone for the interest game — rather than masked BFS
+//! runs per scanned edge, so the response computation itself rides the
+//! dynamic-distance subsystem.
 
 use bncg_graph::{Graph, V};
 
@@ -57,15 +60,13 @@ pub(crate) fn sweep<R: GameRules>(
     let n = ctx.n() as V;
     let mut best: Option<ScoredSwap> = None;
     for &w in ctx.csr().neighbors(v) {
-        let scan = rules.needs_apsp().then(|| ctx.scan(v, w));
+        let view = rules.edge_view(ctx, v, w);
         let found = best_candidate(n, old_cost, |w2| {
             let mv = SwapMove { v, w, w2 };
             (w2 != v && w2 != w && rules.legal_move(ctx, &mv))
-                .then(|| rules.swap_cost(ctx, scan.as_ref(), &mv))
+                .then(|| rules.swap_cost(ctx, &view, &mv))
         });
-        if let Some(scan) = scan {
-            scan.recycle();
-        }
+        rules.recycle_view(view);
         if let Some((w2, new_cost)) = found {
             if best.as_ref().is_none_or(|b| new_cost < b.new_cost) {
                 best = Some(ScoredSwap {

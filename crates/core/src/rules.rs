@@ -9,11 +9,14 @@
 //! (`best_response`, `first_improving_response` and their `_par` fan-outs)
 //! are provided methods over the one sweep in
 //! [`best_response`](crate::best_response), which owns edge order, the
-//! masked-APSP scan, the legality filter and the tie order. The engines
-//! consult only the trait. The basic game implements `GameRules` for the
-//! two existing [`Objective`]s, and its trajectories are byte-identical to
-//! the pre-trait engines (pinned by `tests/game_conformance.rs` against
-//! committed goldens).
+//! per-edge view's build and recycle, the legality filter and the tie
+//! order. The engines consult only the trait. Each rule set builds, once per scanned edge
+//! `vw`, only the view of `G − vw` its pricing reads
+//! ([`GameRules::EdgeView`]) and prices every candidate against it. The
+//! basic game implements `GameRules` for the two existing [`Objective`]s
+//! on the full masked APSP ([`EdgeSwapScan`]), and its trajectories are
+//! byte-identical to the pre-trait engines (pinned by
+//! `tests/game_conformance.rs` against committed goldens).
 //!
 //! Three variant rule sets from the related-work literature ship here:
 //!
@@ -22,21 +25,25 @@
 //!   the target vertex's degree beyond its budget, checked both per
 //!   proposal and re-checked against the round's accepted batch (two
 //!   accepted insertions may target one vertex even when their edge
-//!   footprints are disjoint).
+//!   footprints are disjoint). Priced on the full masked APSP, like the
+//!   basic game.
 //! * [`InterestGame`] — communication interests (Cord-Landwehr et al.):
-//!   each agent pays distance only to its interest set, evaluated through
-//!   the sparse masked row kernels
-//!   ([`kernels::masked_row_cost`] / [`kernels::masked_blend_cost_sum`]).
+//!   each agent pays distance only to its interest set `I(v)`: the
+//!   standing cost through [`kernels::masked_row_cost`], a swap on the
+//!   masked rows of `I(v)` alone ([`InterestRows`]).
 //! * [`TwoNeighborhoodGame`] — maximize the 2-ball `|B₂(v)|`, a purely
 //!   local objective: [`GameRules::needs_apsp`] is `false` and every
-//!   evaluation walks the CSR directly, so engines must not build (or
-//!   repair) a distance matrix at all — asserted via the `apsp.*`
-//!   telemetry counters in `tests/game_telemetry.rs`.
+//!   evaluation walks the CSR directly ([`TwoBall`]), so engines must not
+//!   build (or repair) a distance matrix at all — asserted via the
+//!   `apsp.*` telemetry counters in `tests/game_telemetry.rs`.
 
+use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use bncg_graph::{kernels, Csr, Graph, V};
+use bncg_graph::dynamic::masked_rows_from_base;
+use bncg_graph::kernels::{self, Dist, UNREACHABLE_D};
+use bncg_graph::{Csr, Graph, V};
 use rayon::prelude::*;
 
 use crate::best_response::sweep;
@@ -44,6 +51,24 @@ use crate::context::EvalContext;
 use crate::evaluator::EdgeSwapScan;
 use crate::objective::{MaxObjective, Objective, SumObjective, INFINITE_COST};
 use crate::swap::{ScoredSwap, SwapMove};
+
+/// A rule set whose per-agent state does not fit the graph it was asked
+/// to play on ([`GameRules::check_vertex_count`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RulesMismatch {
+    /// The rule set's [`name`](GameRules::name).
+    pub game: &'static str,
+    /// What does not fit.
+    pub why: String,
+}
+
+impl fmt::Display for RulesMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} rules do not fit the graph: {}", self.game, self.why)
+    }
+}
+
+impl std::error::Error for RulesMismatch {}
 
 /// A complete rule set for a swap-based network creation game.
 ///
@@ -62,6 +87,12 @@ use crate::swap::{ScoredSwap, SwapMove};
 /// method over `0..n`. The cross-engine conformance harness
 /// (`bncg::conformance`) assumes nothing else.
 pub trait GameRules: Clone + Send + Sync + 'static {
+    /// What the candidates of one scanned edge `vw` are priced against:
+    /// built once per edge by [`edge_view`](Self::edge_view), read by
+    /// [`swap_cost`](Self::swap_cost) for every candidate `w2`, then handed
+    /// to [`recycle_view`](Self::recycle_view).
+    type EdgeView: Sync;
+
     /// Stable, file-name-safe rule-set tag. Journals persist it in their
     /// `Seed` record and refuse to resume under a differently-named rule
     /// set; the CLI `--game` flag uses the same vocabulary.
@@ -70,24 +101,40 @@ pub trait GameRules: Clone + Send + Sync + 'static {
     /// Whether this game's evaluation consults all-pairs distances.
     ///
     /// When `false`, engines skip every APSP touch-point: no eager base
-    /// build at run start, no matrix CRC in journal checkpoints, no
-    /// base rebuild on journal replay, and no masked scan in the response
-    /// sweep ([`swap_cost`](Self::swap_cost) gets `None`). Local
-    /// objectives (the 2-neighborhood game) turn `O(n²)`-per-round
-    /// bookkeeping into nothing.
+    /// build at run start, no matrix CRC in journal checkpoints and no
+    /// base rebuild on journal replay, and the rule set's
+    /// [`edge_view`](Self::edge_view) must not read the base matrix.
+    /// Local objectives (the 2-neighborhood game) turn
+    /// `O(n²)`-per-round bookkeeping into nothing.
     fn needs_apsp(&self) -> bool {
         true
+    }
+
+    /// Refuses per-agent state sized for another graph: `Ok` when the
+    /// rule set can play on a graph of `n` vertices. Engines that take a
+    /// rule set from a caller check it before they build anything.
+    /// Default: stateless rules fit every graph.
+    fn check_vertex_count(&self, _n: usize) -> Result<(), RulesMismatch> {
+        Ok(())
     }
 
     /// Usage cost of agent `v` in the snapshot ([`INFINITE_COST`] when
     /// the agent cannot reach someone it pays for).
     fn agent_cost(&self, ctx: &EvalContext, v: V) -> u64;
 
+    /// The view of `G − vw` this rule set prices the swaps of agent `v`
+    /// that delete its edge `vw` against; `vw` must be an edge.
+    fn edge_view(&self, ctx: &EvalContext, v: V, w: V) -> Self::EdgeView;
+
     /// Cost of agent `mv.v` after the swap `mv` (replace edge `v–w` by
-    /// `v–w2`). `scan` is the masked APSP of `G − vw`, present exactly
-    /// when [`needs_apsp`](Self::needs_apsp) holds. The sweep calls this
-    /// only for legal moves with `w2 ∉ {v, w}`.
-    fn swap_cost(&self, ctx: &EvalContext, scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64;
+    /// `v–w2`), priced on `view`, the [`edge_view`](Self::edge_view) of
+    /// `(mv.v, mv.w)`. The sweep calls this only for legal moves with
+    /// `w2 ∉ {v, w}`.
+    fn swap_cost(&self, ctx: &EvalContext, view: &Self::EdgeView, mv: &SwapMove) -> u64;
+
+    /// Takes back a view once its edge is priced, so its buffers can be
+    /// reused. Default: drop it.
+    fn recycle_view(&self, _view: Self::EdgeView) {}
 
     /// The best legal improving swap available to agent `v` (lowest new
     /// cost; ties per the determinism contract), or `None` if `v` cannot
@@ -153,11 +200,6 @@ pub trait GameRules: Clone + Send + Sync + 'static {
     }
 }
 
-/// The masked scan a distance-based rule set prices against.
-fn masked(scan: Option<&EdgeSwapScan>) -> &EdgeSwapScan {
-    scan.expect("a rule set with needs_apsp() is priced on a masked scan")
-}
-
 // ---------------------------------------------------------------------------
 // The basic game: GameRules for the two paper objectives.
 // ---------------------------------------------------------------------------
@@ -165,6 +207,8 @@ fn masked(scan: Option<&EdgeSwapScan>) -> &EdgeSwapScan {
 macro_rules! basic_game_rules {
     ($ty:ty) => {
         impl GameRules for $ty {
+            type EdgeView = EdgeSwapScan;
+
             fn name(&self) -> &'static str {
                 <$ty as Objective>::NAME
             }
@@ -173,13 +217,16 @@ macro_rules! basic_game_rules {
                 ctx.agent_cost::<$ty>(v)
             }
 
-            fn swap_cost(
-                &self,
-                _ctx: &EvalContext,
-                scan: Option<&EdgeSwapScan>,
-                mv: &SwapMove,
-            ) -> u64 {
-                masked(scan).swap_cost::<$ty>(mv.v, mv.w2)
+            fn edge_view(&self, ctx: &EvalContext, v: V, w: V) -> EdgeSwapScan {
+                ctx.scan(v, w)
+            }
+
+            fn swap_cost(&self, _ctx: &EvalContext, scan: &EdgeSwapScan, mv: &SwapMove) -> u64 {
+                scan.swap_cost::<$ty>(mv.v, mv.w2)
+            }
+
+            fn recycle_view(&self, scan: EdgeSwapScan) {
+                scan.recycle();
             }
 
             fn social_cost(&self, ctx: &EvalContext) -> Option<u64> {
@@ -256,6 +303,8 @@ impl<O: Objective> BoundedBudgetGame<O> {
 }
 
 impl<O: Objective> GameRules for BoundedBudgetGame<O> {
+    type EdgeView = EdgeSwapScan;
+
     fn name(&self) -> &'static str {
         match O::NAME {
             "sum" => "budget-sum",
@@ -263,12 +312,30 @@ impl<O: Objective> GameRules for BoundedBudgetGame<O> {
         }
     }
 
+    fn check_vertex_count(&self, n: usize) -> Result<(), RulesMismatch> {
+        if self.budgets.len() == n {
+            return Ok(());
+        }
+        Err(RulesMismatch {
+            game: self.name(),
+            why: format!("{} budgets for {n} vertices", self.budgets.len()),
+        })
+    }
+
     fn agent_cost(&self, ctx: &EvalContext, v: V) -> u64 {
         ctx.agent_cost::<O>(v)
     }
 
-    fn swap_cost(&self, _ctx: &EvalContext, scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64 {
-        masked(scan).swap_cost::<O>(mv.v, mv.w2)
+    fn edge_view(&self, ctx: &EvalContext, v: V, w: V) -> EdgeSwapScan {
+        ctx.scan(v, w)
+    }
+
+    fn swap_cost(&self, _ctx: &EvalContext, scan: &EdgeSwapScan, mv: &SwapMove) -> u64 {
+        scan.swap_cost::<O>(mv.v, mv.w2)
+    }
+
+    fn recycle_view(&self, scan: EdgeSwapScan) {
+        scan.recycle();
     }
 
     fn social_cost(&self, ctx: &EvalContext) -> Option<u64> {
@@ -308,11 +375,12 @@ impl<O: Objective> GameRules for BoundedBudgetGame<O> {
 // ---------------------------------------------------------------------------
 
 /// Communication interests: agent `v` pays `Σ_{x ∈ I(v)} d(v, x)` for its
-/// interest set `I(v)` only. Sparse per-agent rows are evaluated through
-/// the masked kernels ([`kernels::masked_row_cost`] for the standing
-/// cost, [`kernels::masked_blend_cost_sum`] against a swap scan's masked
-/// matrix), so a candidate sweep touches `|I(v)|` entries per candidate
-/// instead of `n`.
+/// interest set `I(v)` only. The standing cost reads `|I(v)|` entries of
+/// the base row ([`kernels::masked_row_cost`]); a swap deleting `vw` is
+/// priced on the masked rows of `I(v)` alone ([`InterestRows`]), so a
+/// scanned edge repairs at most `|I(v)|` rows instead of copying an
+/// `n × n` matrix, and a candidate touches `2·|I(v)|` entries instead of
+/// `n`.
 ///
 /// An agent disconnected from an interest pays [`INFINITE_COST`]; agents
 /// with empty interest sets pay `0` and never move.
@@ -356,18 +424,75 @@ impl InterestGame {
     }
 }
 
+/// The masked rows of `G − vw` for agent `v`'s interests `I(v)`, in
+/// interest order: the [`InterestGame`]'s per-edge view.
+#[derive(Debug)]
+pub struct InterestRows {
+    n: usize,
+    rows: Vec<Dist>,
+}
+
+impl InterestRows {
+    /// `Σ_{x ∈ I(v)} min(m(v,x), 1 + m(x,w2))` over the masked distances
+    /// `m` of `G − vw` — `v`'s interest cost once it links to `w2` — or
+    /// [`INFINITE_COST`] when an interest stays unreachable. Both terms
+    /// are read from row `x` (`m` is symmetric), so `v`'s own row is never
+    /// needed.
+    fn cost_via(&self, v: V, w2: V) -> u64 {
+        let mut sum = 0u64;
+        let mut worst: Dist = 0;
+        for row in self.rows.chunks_exact(self.n) {
+            let d = row[v as usize].min(row[w2 as usize].saturating_add(1));
+            worst = worst.max(d);
+            sum += u64::from(d);
+        }
+        if worst == UNREACHABLE_D {
+            INFINITE_COST
+        } else {
+            sum
+        }
+    }
+}
+
 impl GameRules for InterestGame {
+    type EdgeView = InterestRows;
+
     fn name(&self) -> &'static str {
         "interest"
+    }
+
+    fn check_vertex_count(&self, n: usize) -> Result<(), RulesMismatch> {
+        // Sets are sorted, so each one's last id is its largest.
+        let stray = || {
+            (self.interests.iter().enumerate())
+                .find_map(|(v, set)| set.last().filter(|&&x| x as usize >= n).map(|&x| (v, x)))
+        };
+        let why = if self.interests.len() != n {
+            format!("{} interest sets for {n} vertices", self.interests.len())
+        } else if let Some((v, x)) = stray() {
+            format!("agent {v} is interested in vertex {x} of a {n}-vertex graph")
+        } else {
+            return Ok(());
+        };
+        Err(RulesMismatch {
+            game: self.name(),
+            why,
+        })
     }
 
     fn agent_cost(&self, ctx: &EvalContext, v: V) -> u64 {
         kernels::masked_row_cost(ctx.base().row(v), self.interests(v))
     }
 
-    fn swap_cost(&self, _ctx: &EvalContext, scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64 {
-        let m = masked(scan).masked();
-        kernels::masked_blend_cost_sum(m.row(mv.v), m.row(mv.w2), self.interests(mv.v))
+    fn edge_view(&self, ctx: &EvalContext, v: V, w: V) -> InterestRows {
+        InterestRows {
+            n: ctx.n(),
+            rows: masked_rows_from_base(ctx.csr(), ctx.base(), (v, w), self.interests(v)),
+        }
+    }
+
+    fn swap_cost(&self, _ctx: &EvalContext, rows: &InterestRows, mv: &SwapMove) -> u64 {
+        rows.cost_via(mv.v, mv.w2)
     }
 }
 
@@ -384,43 +509,55 @@ impl GameRules for InterestGame {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TwoNeighborhoodGame;
 
-impl TwoNeighborhoodGame {
-    /// `n − |B₂(v)|` after hypothetically replacing incident edge
-    /// `v–drop` by `v–add` (`None` = no change on that side). Exact for
-    /// swaps because only edges at `v` change: the 2-ball reads each
-    /// modified neighbor's *unmodified* adjacency list, and the one list
-    /// that does change (`add` gains `v`) only re-marks `v` itself.
-    fn b2_cost(csr: &Csr, v: V, drop: Option<V>, add: Option<V>) -> u64 {
-        let n = csr.n();
-        let mut mark = vec![false; n];
-        let mut count = 0u64;
-        let visit = |u: V, mark: &mut [bool], count: &mut u64| {
-            if !mark[u as usize] {
-                mark[u as usize] = true;
-                *count += 1;
-            }
+/// `B₂(v)` with one incident edge `vw` cut, marked once per scanned edge:
+/// the [`TwoNeighborhoodGame`]'s per-edge view. Linking `v` to a
+/// candidate `w2` adds exactly `w2` and `N(w2)`: only edges at `v`
+/// change, the 2-ball reads each remaining neighbor's unchanged adjacency
+/// list, and the one list that does change (`w2` gains `v`) only re-marks
+/// `v` itself. So a candidate costs `O(deg w2)`.
+#[derive(Debug)]
+pub struct TwoBall {
+    mark: Vec<bool>,
+    size: u64,
+}
+
+impl TwoBall {
+    /// Marks `B₂(v)` in `csr` without the edge `v–cut` (`None`: the whole
+    /// ball).
+    fn new(csr: &Csr, v: V, cut: Option<V>) -> Self {
+        let mut ball = TwoBall {
+            mark: vec![false; csr.n()],
+            size: 0,
         };
-        visit(v, &mut mark, &mut count);
+        ball.add(v);
         for &u in csr.neighbors(v) {
-            if Some(u) == drop {
-                continue;
-            }
-            visit(u, &mut mark, &mut count);
-            for &x in csr.neighbors(u) {
-                visit(x, &mut mark, &mut count);
-            }
-        }
-        if let Some(a) = add {
-            visit(a, &mut mark, &mut count);
-            for &x in csr.neighbors(a) {
-                visit(x, &mut mark, &mut count);
+            if Some(u) != cut {
+                ball.add(u);
+                for &x in csr.neighbors(u) {
+                    ball.add(x);
+                }
             }
         }
-        n as u64 - count
+        ball
+    }
+
+    fn add(&mut self, x: V) {
+        if !self.mark[x as usize] {
+            self.mark[x as usize] = true;
+            self.size += 1;
+        }
+    }
+
+    /// The ball's size once `v` also links to `w2`.
+    fn size_via(&self, csr: &Csr, w2: V) -> u64 {
+        let fresh = |x: V| u64::from(!self.mark[x as usize]);
+        self.size + fresh(w2) + csr.neighbors(w2).iter().map(|&x| fresh(x)).sum::<u64>()
     }
 }
 
 impl GameRules for TwoNeighborhoodGame {
+    type EdgeView = TwoBall;
+
     fn name(&self) -> &'static str {
         "2nb"
     }
@@ -430,11 +567,15 @@ impl GameRules for TwoNeighborhoodGame {
     }
 
     fn agent_cost(&self, ctx: &EvalContext, v: V) -> u64 {
-        Self::b2_cost(ctx.csr(), v, None, None)
+        ctx.n() as u64 - TwoBall::new(ctx.csr(), v, None).size
     }
 
-    fn swap_cost(&self, ctx: &EvalContext, _scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64 {
-        Self::b2_cost(ctx.csr(), mv.v, Some(mv.w), Some(mv.w2))
+    fn edge_view(&self, ctx: &EvalContext, v: V, w: V) -> TwoBall {
+        TwoBall::new(ctx.csr(), v, Some(w))
+    }
+
+    fn swap_cost(&self, ctx: &EvalContext, ball: &TwoBall, mv: &SwapMove) -> u64 {
+        ctx.n() as u64 - ball.size_via(ctx.csr(), mv.w2)
     }
 }
 

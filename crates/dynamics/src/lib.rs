@@ -74,6 +74,6 @@ pub use recovery::{read_journal, Journal, JournalRecord, JournalScan, RecoveryEr
 pub use rounds::{resolve_round_with, step_round, RoundConfig, RoundDynamics, RoundResult};
 pub use service::{
     AuditPolicy, AuditStats, JournalOptions, ResumeReport, RoundService, ServiceConfig,
-    SessionReport,
+    ServiceError, SessionReport,
 };
 pub use sink::{JsonlSink, MemorySink, MetricsSink, NullSink, RoundRecord};

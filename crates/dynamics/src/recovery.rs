@@ -759,10 +759,11 @@ fn check_round(g: &Graph, moves: &[SwapMove]) -> Result<(), String> {
 }
 
 /// Replays a scanned journal into a live service state. `rules.name()`
-/// must match the journal's seed objective tag; the maintained matrix is
-/// rebuilt at the last checkpoint (verified against its recorded CRC)
-/// and repaired through every later batch, so it is byte-identical to
-/// the crashed process's matrix. Rule sets that never touch distances
+/// must match the journal's seed objective tag and `rules` must fit the
+/// seed graph's vertex count (both checked before anything is built);
+/// the maintained matrix is rebuilt at the last checkpoint (verified
+/// against its recorded CRC) and repaired through every later batch, so
+/// it is byte-identical to the crashed process's matrix. Rule sets that never touch distances
 /// (`needs_apsp() == false`) keep the context lazy and skip matrix-CRC
 /// verification — their checkpoints record a zero CRC.
 pub(crate) fn replay<R: GameRules>(
@@ -801,6 +802,9 @@ pub(crate) fn replay<R: GameRules>(
     let detect = *detect_cycles;
     let mut g = graph6::decode(seed_g6)
         .map_err(|e| RecoveryError::Mismatch(format!("seed graph6: {e}")))?;
+    rules
+        .check_vertex_count(g.n())
+        .map_err(|e| RecoveryError::Mismatch(e.to_string()))?;
 
     // The eval context is rebuilt at the *last* checkpoint; rounds before
     // it replay onto the graph only.

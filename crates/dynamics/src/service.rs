@@ -51,7 +51,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use bncg_core::context::EvalContext;
-use bncg_core::rules::GameRules;
+use bncg_core::rules::{GameRules, RulesMismatch};
 use bncg_core::swap::SwapMove;
 use bncg_graph::adjacency::SwapApplied;
 use bncg_graph::dynamic::RepairStats;
@@ -152,6 +152,46 @@ pub struct ResumeReport {
     pub used_checkpoint: bool,
 }
 
+/// Why [`RoundService::try_with_rules`] refused to build a service.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ServiceError {
+    /// The rule set's per-agent state is sized for another graph.
+    Rules(RulesMismatch),
+    /// A finite distance of the start graph overflows the compact `u16`
+    /// domain.
+    Overflow(DistOverflow),
+}
+
+impl std::fmt::Display for ServiceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServiceError::Rules(e) => e.fmt(f),
+            ServiceError::Overflow(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ServiceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ServiceError::Rules(e) => Some(e),
+            ServiceError::Overflow(e) => Some(e),
+        }
+    }
+}
+
+impl From<RulesMismatch> for ServiceError {
+    fn from(e: RulesMismatch) -> Self {
+        ServiceError::Rules(e)
+    }
+}
+
+impl From<DistOverflow> for ServiceError {
+    fn from(e: DistOverflow) -> Self {
+        ServiceError::Overflow(e)
+    }
+}
+
 /// A long-running, restartless round-dynamics driver: one frozen-snapshot
 /// engine kept warm across sessions. See the [module docs](self).
 pub struct RoundService<R: GameRules> {
@@ -206,21 +246,25 @@ impl<R: GameRules> RoundService<R> {
     /// (budgets, interest sets).
     ///
     /// # Panics
-    /// When a finite distance of `start` overflows the compact `u16`
-    /// domain; [`try_with_rules`](Self::try_with_rules) returns that as
-    /// an error instead.
+    /// When `rules` does not fit `start`'s vertex count
+    /// ([`GameRules::check_vertex_count`]) or a finite distance of
+    /// `start` overflows the compact `u16` domain;
+    /// [`try_with_rules`](Self::try_with_rules) returns either as an
+    /// error instead.
     pub fn with_rules(start: &Graph, config: ServiceConfig, rules: R) -> Self {
         Self::try_with_rules(start, config, rules).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`with_rules`](Self::with_rules) with a typed [`DistOverflow`]
-    /// error instead of the panic — the fallible seam long-running
-    /// drivers should construct through.
+    /// [`with_rules`](Self::with_rules) with a typed [`ServiceError`]
+    /// instead of the panic — the fallible seam long-running callers
+    /// should construct through. The rule set is checked against `start`
+    /// before anything is built.
     pub fn try_with_rules(
         start: &Graph,
         config: ServiceConfig,
         rules: R,
-    ) -> Result<Self, DistOverflow> {
+    ) -> Result<Self, ServiceError> {
+        rules.check_vertex_count(start.n())?;
         let g = start.clone();
         let ctx = EvalContext::new(&g);
         if rules.needs_apsp() {
@@ -235,11 +279,13 @@ impl<R: GameRules> RoundService<R> {
     /// last checkpoint (verified against its recorded CRC) and
     /// batch-repaired through every later round — **byte-identical** to
     /// the matrix the crashed process held — and the journal is reopened
-    /// for appending. A torn final line (crash mid-write) is truncated
-    /// away; interior corruption and records that do not describe valid
-    /// moves are refused. When the journal ends inside a live session,
-    /// the next [`run_session`](Self::run_session) continues that session
-    /// from the round it stopped at.
+    /// for appending. Once replay has accepted the journal, a torn final
+    /// line (crash mid-write) is truncated away; interior corruption and
+    /// records that do not describe valid moves are refused, and a
+    /// refused journal is left byte-for-byte as it was. When the journal
+    /// ends inside a live session, the next
+    /// [`run_session`](Self::run_session) continues that session from the
+    /// round it stopped at.
     pub fn resume(path: &Path) -> Result<(Self, ResumeReport), RecoveryError>
     where
         R: Default,
@@ -253,12 +299,14 @@ impl<R: GameRules> RoundService<R> {
     /// with per-agent state ([`BoundedBudgetGame`](bncg_core::rules::BoundedBudgetGame),
     /// [`InterestGame`](bncg_core::rules::InterestGame)) must be sized for
     /// the vertex count of the journal's seed graph, not of any other
-    /// start graph: decode the `Seed` record of
-    /// [`read_journal`](crate::recovery::read_journal) to learn it.
+    /// start graph (decode the `Seed` record of
+    /// [`read_journal`](crate::recovery::read_journal) to learn it): a
+    /// mis-sized rule set is refused with [`RecoveryError::Mismatch`]
+    /// before anything is built.
     pub fn resume_with_rules(path: &Path, rules: R) -> Result<(Self, ResumeReport), RecoveryError> {
         let scan = recovery::read_journal(path)?;
-        let truncated = recovery::truncate_torn_tail(path, &scan)?;
         let st = recovery::replay(&rules, &scan)?;
+        let truncated = recovery::truncate_torn_tail(path, &scan)?;
         let journal = Journal::open_append(path)?;
         let report = ResumeReport {
             records: scan.records.len(),

@@ -48,7 +48,8 @@
 //! [`masked_apsp_from_base`] derives the full APSP of `G − e` from the
 //! maintained base matrix (pooled parallel copy + truncated repairs),
 //! which is what lets `EdgeSwapScan` in `bncg_core` skip its `n` masked
-//! BFS runs per scanned edge.
+//! BFS runs per scanned edge, and [`masked_rows_from_base`] derives only
+//! a listed subset of those rows, for pricings that read a few.
 //!
 //! The deletion-repair walkers are *kernelized*: each candidate's
 //! neighborhood is walked once and gathered into contiguous scratch
@@ -197,6 +198,9 @@ impl RepairStats {
 //                        (the evaluator's per-candidate-edge scans), kept
 //                        separate so round-level repair deltas are not
 //                        polluted by proposal-sweep scans.
+//                        `masked_rows_from_base` records phases 1/2 and
+//                        rows repaired only: one `scan.copy_ns` sample
+//                        per full-matrix scan.
 // ---------------------------------------------------------------------------
 
 /// Per-row phase histograms for one repair family (maintained matrix vs
@@ -913,19 +917,114 @@ pub fn masked_apsp_from_base(csr: &Csr, base: &DistanceMatrix, edge: (V, V)) -> 
     dm
 }
 
+/// Rows of `G − edge` for the listed `sources` only, concatenated in list
+/// order (`sources.len() · n` entries), derived from the base matrix of
+/// `G` by the same per-source stage-A test and single-deletion walker as
+/// [`masked_apsp_from_base`]: each listed row is copied from the base and
+/// repaired only when the test marks it. Byte-identical to the listed
+/// rows of [`DistanceMatrix::build_masked`] (pinned by
+/// `tests/round_dynamics_props.rs`). A pricing that reads a handful of
+/// rows — the interest game's, `|I(v)|` per scanned edge — pays for those
+/// rows instead of an `n × n` copy.
+///
+/// # Panics
+/// Debug-panics when `edge` is not an edge of `csr` or the matrix shape
+/// does not match; panics when a source is not a vertex.
+pub fn masked_rows_from_base(
+    csr: &Csr,
+    base: &DistanceMatrix,
+    edge: (V, V),
+    sources: &[V],
+) -> Vec<Dist> {
+    let n = csr.n();
+    debug_assert_eq!(base.n(), n);
+    debug_assert!(
+        csr.neighbors(edge.0).contains(&edge.1),
+        "masked_rows_from_base requires an existing edge"
+    );
+    let mut rows = Vec::with_capacity(sources.len() * n);
+    let (u, w) = edge;
+    let mask = [edge];
+    let mut touch = Vec::new();
+    fill_mask_touch(&mut touch, n, &mask);
+    let test = StageA::new(csr, &mask, &touch, u, w);
+    let mut repaired = 0u64;
+    with_repair_scratch(n, |scratch| {
+        for &s in sources {
+            let src = base.row(s);
+            let at = rows.len();
+            rows.extend_from_slice(src);
+            if let Some(far) = test.root(src, src[u as usize], src[w as usize]) {
+                let row = &mut rows[at..];
+                repair_row_kernel_single(scratch, csr, &mask, &touch, row, far, scan_phase_hists());
+                repaired += 1;
+            }
+        }
+    });
+    telemetry::counter!("scan.rows_repaired").add(repaired);
+    rows
+}
+
+/// Stage A's per-source test for deleting edge `uw`, shared by
+/// [`collect_repair_roots`] and [`masked_rows_from_base`]. Both
+/// endpoints' mask-filtered neighbor lists are collected **once** and
+/// reused across every source tested.
+struct StageA {
+    u: V,
+    w: V,
+    nbrs_u: Vec<V>,
+    nbrs_w: Vec<V>,
+}
+
+impl StageA {
+    fn new(csr: &Csr, mask: &[(V, V)], touch: &[bool], u: V, w: V) -> Self {
+        StageA {
+            u,
+            w,
+            nbrs_u: masked_neighbors(csr, u, mask, touch).collect(),
+            nbrs_w: masked_neighbors(csr, w, mask, touch).collect(),
+        }
+    }
+
+    /// The repair root of source `s` — the far endpoint, the one on the
+    /// deeper level — or `None` when the row is provably unchanged.
+    /// `row` is `s`'s pre-deletion row, and `du`, `dw` its levels of the
+    /// two endpoints (`d(s,u) = d(u,s)`, so callers may read them from
+    /// whichever row is contiguous).
+    ///
+    /// A row is marked exactly when the far endpoint loses its last
+    /// parent, which is exactly when the row changes. The
+    /// alternate-parent probe runs as a [`kernels::gather_min_plus`]
+    /// reduction over the far endpoint's neighbor list (an alternate
+    /// parent exists from `s` iff the gathered minimum plus one equals
+    /// the far endpoint's level).
+    #[inline]
+    fn root(&self, row: &[Dist], du: Dist, dw: Dist) -> Option<V> {
+        if du == dw {
+            // Equal levels (or both unreachable): the edge lies on no
+            // shortest path from this source.
+            return None;
+        }
+        debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
+        let (far, far_nbrs, far_lvl) = if dw > du {
+            (self.w, &self.nbrs_w, dw)
+        } else {
+            (self.u, &self.nbrs_u, du)
+        };
+        // Every neighbor sits on level far_lvl − 1, far_lvl, or
+        // far_lvl + 1, so min + 1 == far_lvl exactly when an
+        // alternate parent survives on the level below.
+        let (min_plus, _) = kernels::gather_min_plus(row, far_nbrs);
+        (min_plus != far_lvl).then_some(far)
+    }
+}
+
 /// Stage A shared by [`DynamicApsp::update_deletion`] and
 /// [`masked_apsp_from_base`]: fills `roots` with each source row's repair
 /// root for deleting edge `uw` (`V::MAX` = row provably unchanged by the
-/// tight/alternate-parent filters) and returns the candidate count. `dm`
-/// is the pre-deletion matrix the rows are read from.
-///
-/// A row is marked exactly when the far endpoint (the one on the deeper
-/// level) loses its last parent, which is exactly when the row changes.
-/// The alternate-parent probe runs as a [`kernels::gather_min_plus`]
-/// reduction over the two endpoints' mask-filtered neighbor lists,
-/// collected **once** and reused across all `n` sources (an alternate
-/// parent exists from `s` iff the gathered minimum plus one equals the far
-/// endpoint's level).
+/// tight/alternate-parent filters, [`StageA::root`]) and returns the
+/// candidate count. `dm` is the pre-deletion matrix the rows are read
+/// from; the levels come from the contiguous rows of `u` and `w`.
 fn collect_repair_roots(
     csr: &Csr,
     mask: &[(V, V)],
@@ -940,28 +1039,10 @@ fn collect_repair_roots(
     roots.resize(n, V::MAX);
     let ru = dm.row(u);
     let rw = dm.row(w);
-    let nbrs_u: Vec<V> = masked_neighbors(csr, u, mask, touch).collect();
-    let nbrs_w: Vec<V> = masked_neighbors(csr, w, mask, touch).collect();
+    let test = StageA::new(csr, mask, touch, u, w);
     let mut count = 0usize;
     for s in 0..n {
-        let du = ru[s];
-        let dw = rw[s];
-        if du == dw {
-            // Equal levels (or both unreachable): the edge lies on no
-            // shortest path from this source.
-            continue;
-        }
-        debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
-        let (far, far_nbrs, far_lvl) = if dw > du {
-            (w, &nbrs_w, dw)
-        } else {
-            (u, &nbrs_u, du)
-        };
-        // Every neighbor sits on level far_lvl − 1, far_lvl, or
-        // far_lvl + 1, so min + 1 == far_lvl exactly when an
-        // alternate parent survives on the level below.
-        let (min_plus, _) = kernels::gather_min_plus(dm.row(s as V), far_nbrs);
-        if min_plus != far_lvl {
+        if let Some(far) = test.root(dm.row(s as V), ru[s], rw[s]) {
             roots[s] = far;
             count += 1;
         }

@@ -1098,45 +1098,6 @@ pub fn masked_row_cost(row: &[Dist], idx: &[V]) -> u64 {
     }
 }
 
-/// Blended row cost restricted to an index set: `Σ_{i ∈ idx}
-/// min(base[i], 1 saturating+ via[i])`, or [`INF_SUM`] when some selected
-/// blended entry is unreachable — [`masked_row_cost`] composed with the
-/// single-edge insertion identity of [`blend_cost_sum`], so the interest
-/// game can score a candidate swap without materializing the blended row.
-/// Scalar for the same reason as [`masked_row_cost`]. An empty `idx`
-/// costs `0`.
-///
-/// # Panics
-/// Panics (via slice indexing) when some `idx` entry is out of bounds for
-/// `base` or `via`.
-///
-/// # Examples
-/// ```
-/// use bncg_graph::kernels::{masked_blend_cost_sum, UNREACHABLE_D};
-///
-/// let base = [0u16, 4, UNREACHABLE_D, 2];
-/// let via = [9u16, 1, 1, UNREACHABLE_D];
-/// // Blended row is [0, 2, 2, 2]; selecting {1, 2} sums to 4.
-/// assert_eq!(masked_blend_cost_sum(&base, &via, &[1, 2]), 4);
-/// ```
-#[inline]
-pub fn masked_blend_cost_sum(base: &[Dist], via: &[Dist], idx: &[V]) -> u64 {
-    debug_assert_eq!(base.len(), via.len());
-    telemetry::counter!("kernels.dispatch.scalar").incr();
-    let mut sum = 0u64;
-    let mut mx: Dist = 0;
-    for &i in idx {
-        let d = base[i as usize].min(via[i as usize].saturating_add(1));
-        mx = mx.max(d);
-        sum += u64::from(d);
-    }
-    if mx == UNREACHABLE_D {
-        INF_SUM
-    } else {
-        sum
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

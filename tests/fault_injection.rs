@@ -192,6 +192,8 @@ struct PanicOnce {
 }
 
 impl GameRules for PanicOnce {
+    type EdgeView = EdgeSwapScan;
+
     fn name(&self) -> &'static str {
         "sum"
     }
@@ -207,8 +209,16 @@ impl GameRules for PanicOnce {
         SumObjective.best_response(ctx, v)
     }
 
-    fn swap_cost(&self, ctx: &EvalContext, scan: Option<&EdgeSwapScan>, mv: &SwapMove) -> u64 {
+    fn edge_view(&self, ctx: &EvalContext, v: V, w: V) -> EdgeSwapScan {
+        SumObjective.edge_view(ctx, v, w)
+    }
+
+    fn swap_cost(&self, ctx: &EvalContext, scan: &EdgeSwapScan, mv: &SwapMove) -> u64 {
         SumObjective.swap_cost(ctx, scan, mv)
+    }
+
+    fn recycle_view(&self, scan: EdgeSwapScan) {
+        SumObjective.recycle_view(scan);
     }
 
     fn social_cost(&self, ctx: &EvalContext) -> Option<u64> {

@@ -1,6 +1,6 @@
 //! Game telemetry assertions: the 2-neighborhood game's no-APSP guarantee,
 //! asserted through the `apsp.*` telemetry counters, and the interest
-//! game's masked kernels counted as scalar dispatches.
+//! game's masked kernel counted as a scalar dispatch.
 //!
 //! [`TwoNeighborhoodGame`] reports `needs_apsp() == false`, and every
 //! engine gates its eager matrix builds, checkpoint CRCs, and resume
@@ -75,7 +75,7 @@ fn two_neighborhood_game_never_touches_the_apsp_subsystem() {
         "apsp.builds must move under the basic game — is telemetry wired?"
     );
 
-    // The interest game's masked kernels are scalar loops on every
+    // The interest game's masked kernel is a scalar loop on every
     // stratum, so a call counts as a scalar dispatch even when its index
     // set is a full vector wide.
     let simd = || {
@@ -86,7 +86,11 @@ fn two_neighborhood_game_never_touches_the_apsp_subsystem() {
     let (simd0, scalar0) = (simd(), scalar());
     let row: Vec<Dist> = (0..32).collect();
     let idx: Vec<V> = (0..16).collect();
-    assert_eq!(kernels::masked_blend_cost_sum(&row, &row, &idx), 120);
-    assert_eq!(scalar() - scalar0, 1, "masked kernels count as scalar");
-    assert_eq!(simd() - simd0, 0, "masked kernels never dispatch to SIMD");
+    assert_eq!(kernels::masked_row_cost(&row, &idx), 120);
+    assert_eq!(scalar() - scalar0, 1, "the masked kernel counts as scalar");
+    assert_eq!(
+        simd() - simd0,
+        0,
+        "the masked kernel never dispatches to SIMD"
+    );
 }

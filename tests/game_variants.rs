@@ -11,15 +11,22 @@
 //!   the masked-APSP swap scan.
 //! - **k-swap stability** — 1-swap stability from the k-swap auditor
 //!   coincides with "no improving response".
+//! - **Mis-sized rule sets** — budgets or interest sets sized for another
+//!   graph, or naming a vertex it lacks, are refused with a typed error
+//!   when a service is built or resumed, and a refused resume leaves its
+//!   journal untouched.
 //!
 //! The 2-neighborhood game's no-APSP guarantee lives in its own binary
 //! (`tests/game_telemetry.rs`) because it asserts on process-global
 //! telemetry counters.
 
 use std::collections::VecDeque;
+use std::fs;
 
 use bncg::dynamics::engine::Response;
 use bncg::dynamics::rounds::{step_round, RoundConfig, RoundDynamics};
+use bncg::dynamics::service::{JournalOptions, RoundService, ServiceConfig};
+use bncg::dynamics::RecoveryError;
 use bncg::game::context::EvalContext;
 use bncg::game::kswap::{is_k_swap_stable, k_swap_audit};
 use bncg::game::objective::{MaxObjective, SumObjective, INFINITE_COST};
@@ -256,7 +263,8 @@ fn assert_matches_oracle<R: GameRules>(
 
 /// All five rule sets against the oracle on one graph. Random budgets of
 /// `deg` or `deg + 1` leave about half the targets full; random interest
-/// sets of 0–3 vertices leave some agents with nothing to pay for.
+/// sets of 0 to `n − 1` draws leave some agents with nothing to pay for
+/// and let others span the graph, across any cut of a disconnected one.
 fn assert_all_games_match_oracle(g: &Graph, seed: u64) {
     assert_matches_oracle(g, &SumObjective, Pays::Sum, |_, _| true);
     assert_matches_oracle(g, &MaxObjective, Pays::Max, |_, _| true);
@@ -275,7 +283,7 @@ fn assert_all_games_match_oracle(g: &Graph, seed: u64) {
     let interests = InterestGame::new(
         (0..n)
             .map(|_| {
-                let k = rng.gen_range(0..4usize);
+                let k = rng.gen_range(0..n as usize);
                 (0..k).map(|_| rng.gen_range(0..n)).collect()
             })
             .collect(),
@@ -325,4 +333,115 @@ fn one_swap_stability_coincides_with_no_improving_response() {
             (0..g.n() as V).all(|v| GameRules::best_response(&MaxObjective, &ctx, v).is_none())
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Mis-sized rule sets.
+
+/// Vertex count of the graph the mis-sized rule sets are played on.
+const N: usize = 16;
+
+/// Interest sets that fit an `N`-vertex graph except that agent 3 is
+/// interested in vertex `N`.
+fn stray_interest() -> InterestGame {
+    let mut sets: Vec<Vec<V>> = (0..N).map(|v| vec![((v + 1) % N) as V]).collect();
+    sets[3].push(N as V);
+    InterestGame::new(sets)
+}
+
+/// The error `try_with_rules` returns for `rules` on `g`, which it must
+/// refuse.
+fn construction_error<R: GameRules>(g: &Graph, rules: R) -> String {
+    let name = rules.name();
+    match RoundService::try_with_rules(g, ServiceConfig::default(), rules) {
+        Ok(_) => panic!("mis-sized {name} rules were accepted"),
+        Err(e) => e.to_string(),
+    }
+}
+
+#[test]
+fn mis_sized_rules_are_refused_when_a_service_is_built() {
+    let g = classic::cycle(N);
+    let cases = [
+        (
+            construction_error(&g, InterestGame::ring(8, 2)),
+            "8 interest sets for 16 vertices",
+        ),
+        (
+            construction_error(&g, BoundedBudgetGame::<SumObjective>::uniform(8, 3)),
+            "8 budgets for 16 vertices",
+        ),
+        (
+            construction_error(&g, stray_interest()),
+            "interested in vertex 16",
+        ),
+    ];
+    for (error, expected) in cases {
+        assert!(error.contains(expected), "{error:?} lacks {expected:?}");
+    }
+    // Rule sets sized for the graph still build.
+    for rules in [
+        InterestGame::ring(N, 2),
+        InterestGame::new(vec![Vec::new(); N]),
+    ] {
+        assert!(RoundService::try_with_rules(&g, ServiceConfig::default(), rules).is_ok());
+    }
+}
+
+#[test]
+#[should_panic(expected = "8 budgets for 16 vertices")]
+fn with_rules_panics_with_the_mismatch() {
+    let rules = BoundedBudgetGame::<SumObjective>::uniform(8, 3);
+    RoundService::with_rules(&classic::cycle(N), ServiceConfig::default(), rules);
+}
+
+/// Journals a session played under `fits` on an `N`-vertex cycle, tears
+/// its last line, and asserts that resuming under `misfit` is refused as a
+/// [`RecoveryError::Mismatch`] naming `expected`, with the file unchanged.
+fn assert_resume_refused<R: GameRules>(fits: R, misfit: R, expected: &str) {
+    let path = std::env::temp_dir().join(format!(
+        "bncg-variants-{}-{}-{expected}.wal",
+        std::process::id(),
+        fits.name()
+    ));
+    let mut service = RoundService::with_rules(&classic::cycle(N), ServiceConfig::default(), fits);
+    service
+        .attach_journal(&path, JournalOptions::default())
+        .expect("attach journal");
+    let _ = service.run_session_plain();
+    drop(service);
+    let mut bytes = fs::read(&path).expect("read journal");
+    bytes.extend_from_slice(b"{\"t\":\"ro");
+    fs::write(&path, &bytes).expect("tear the journal");
+    match RoundService::resume_with_rules(&path, misfit) {
+        Ok(_) => panic!("a resume under mis-sized rules was accepted ({expected})"),
+        Err(RecoveryError::Mismatch(why)) => {
+            assert!(why.contains(expected), "{why:?} lacks {expected:?}")
+        }
+        Err(e) => panic!("wrong error for mis-sized rules: {e}"),
+    }
+    assert!(
+        fs::read(&path).expect("reread journal") == bytes,
+        "a refused resume rewrote the journal ({expected})"
+    );
+    fs::remove_file(&path).ok();
+}
+
+#[test]
+fn mis_sized_rules_are_refused_at_resume_without_touching_the_journal() {
+    assert_resume_refused(
+        InterestGame::ring(N, 2),
+        InterestGame::ring(8, 2),
+        "8 interest sets for 16 vertices",
+    );
+    assert_resume_refused(
+        BoundedBudgetGame::<SumObjective>::uniform(N, 3),
+        BoundedBudgetGame::<SumObjective>::uniform(8, 3),
+        "8 budgets for 16 vertices",
+    );
+    assert_resume_refused(
+        InterestGame::ring(N, 2),
+        stray_interest(),
+        "interested in vertex 16",
+    );
 }

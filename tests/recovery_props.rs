@@ -16,7 +16,7 @@
 //! sessions of one service are held to fresh engine runs the same way.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bncg::dynamics::engine::{Outcome, Response};
@@ -658,31 +658,48 @@ impl Field<'_> {
     }
 }
 
+/// Resumes `path` under `R` and, when that succeeds, runs one more
+/// session; returns whether the resume was accepted.
+fn resume_and_run<R: GameRules + Default>(path: &Path) -> bool {
+    match RoundService::<R>::resume(path) {
+        Ok((mut service, _)) => {
+            let _ = service.run_session_plain();
+            true
+        }
+        Err(_) => false,
+    }
+}
+
 #[test]
 fn resealed_mutations_of_every_line_resume_or_fail_without_panicking() {
     // Every single-field mutation of every line, resealed so the CRC
     // passes, and every dropped, duplicated or swapped line: resume must
     // return `Ok` or a `RecoveryError`, and an `Ok` service must run one
-    // more session — never a panic.
+    // more session — never a panic. A refused resume must leave the file
+    // byte-identical, including inputs that end in a torn line, which an
+    // accepted resume would truncate.
     let n = 14;
     let owned = mixed_journal(0x3A7E, n);
     let lines: Vec<&str> = owned.iter().map(String::as_str).collect();
     let (mut resumed, mut refused) = (0usize, 0usize);
-    let mut check = |path: PathBuf, label: String| {
-        let ok = std::panic::catch_unwind(|| match RoundService::<SumObjective>::resume(&path) {
-            Ok((mut service, _)) => {
-                let _ = service.run_session_plain();
-                true
-            }
-            Err(_) => false,
-        })
-        .unwrap_or_else(|_| panic!("resume or the next session panicked: {label}"));
-        fs::remove_file(&path).ok();
+    let mut check_as = |path: PathBuf, label: String, resume: fn(&Path) -> bool| {
+        let before = fs::read(&path).expect("read journal before resume");
+        let ok = std::panic::catch_unwind(|| resume(&path))
+            .unwrap_or_else(|_| panic!("resume or the next session panicked: {label}"));
         if ok {
             resumed += 1;
         } else {
             refused += 1;
+            let after = fs::read(&path).expect("read journal after resume");
+            assert!(
+                after == before,
+                "a refused resume rewrote the file: {label}"
+            );
         }
+        fs::remove_file(&path).ok();
+    };
+    let mut check = |path: PathBuf, label: String| {
+        check_as(path, label, resume_and_run::<SumObjective>);
     };
     for line in 1..=lines.len() {
         let mut probe = JournalRecord::from_line(lines[line - 1]).expect("intact record");
@@ -711,6 +728,31 @@ fn resealed_mutations_of_every_line_resume_or_fail_without_panicking() {
             check(path, format!("line {} {what}", i + 1));
         }
     }
+    // Refused inputs that end in a torn line: a one-line file that is no
+    // journal at all, and the intact journal with half a line appended,
+    // resumed under the wrong game.
+    let path = temp_path("not-a-journal");
+    fs::write(&path, "hello world\n").expect("write non-journal");
+    check(path, "a one-line non-journal file".into());
+    let last = lines[lines.len() - 1];
+    let torn = lines.join("\n") + "\n" + &last[..last.len() / 2];
+    let path = temp_path("torn-wrong-game");
+    fs::write(&path, &torn).expect("write torn journal");
+    check_as(
+        path,
+        "a torn journal resumed under the wrong game".into(),
+        resume_and_run::<MaxObjective>,
+    );
+    let path = temp_path("torn-right-game");
+    fs::write(&path, &torn).expect("write torn journal");
+    let (_, report) = RoundService::<SumObjective>::resume(&path).expect("the right game resumes");
+    assert!(report.truncated_tail, "the torn line must be truncated");
+    assert_eq!(
+        fs::read_to_string(&path).expect("read resumed journal"),
+        lines.join("\n") + "\n",
+        "an accepted resume truncates exactly the torn line"
+    );
+    fs::remove_file(&path).ok();
     assert!(
         resumed > 0 && refused > 0,
         "the sweep must both resume and refuse ({resumed} resumed, {refused} refused)"

@@ -16,7 +16,10 @@
 //!    masked-BFS build ([`DistanceMatrix::build_masked`]) for **every**
 //!    edge, and the swap scans built from either matrix must agree on
 //!    every verdict — including the sharded candidate loop at `n` large
-//!    enough to fan out over the worker pool.
+//!    enough to fan out over the worker pool. The row-subset entry
+//!    ([`masked_rows_from_base`], the interest game's per-edge view) must
+//!    return exactly the listed rows of that build, for every source list
+//!    tried: all sources, a random subset holding both endpoints, none.
 
 use bncg::dynamics::rounds::{resolve_round_with, step_round};
 use bncg::game::context::EvalContext;
@@ -24,7 +27,7 @@ use bncg::game::evaluator::EdgeSwapScan;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
 use bncg::game::rules::GameRules;
 use bncg::graph::adjacency::{Edge, SwapApplied};
-use bncg::graph::dynamic::{masked_apsp_from_base, DynamicApsp};
+use bncg::graph::dynamic::{masked_apsp_from_base, masked_rows_from_base, DynamicApsp};
 use bncg::graph::generators::random::{gnp, random_tree};
 use bncg::graph::{DistanceMatrix, Graph, V};
 use proptest::prelude::*;
@@ -164,10 +167,14 @@ fn five_hundred_plus_random_rounds_stay_byte_identical() {
     );
 }
 
-/// Masked-scan identity over every edge of `g`.
-fn assert_masked_scans_match(g: &Graph, context: &str) {
+/// Masked-scan identity over every edge of `g`, for the whole matrix and
+/// for three source lists of the row-subset entry (all sources; a random
+/// subset, drawn from `seed`, that holds both endpoints; none).
+fn assert_masked_scans_match(g: &Graph, seed: u64, context: &str) {
     let csr = g.to_csr();
     let base = DistanceMatrix::build(&csr);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let all: Vec<V> = (0..g.n() as V).collect();
     for e in g.edge_vec() {
         let derived = masked_apsp_from_base(&csr, &base, (e.u, e.v));
         let fresh = DistanceMatrix::build_masked(&csr, (e.u, e.v));
@@ -175,6 +182,20 @@ fn assert_masked_scans_match(g: &Graph, context: &str) {
             derived, fresh,
             "copy-plus-repair masked APSP diverged at edge {e:?} ({context})"
         );
+        let mut subset: Vec<V> = all.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
+        subset.extend([e.v, e.u]);
+        for sources in [&all, &subset, &Vec::new()] {
+            let rows = masked_rows_from_base(&csr, &base, (e.u, e.v), sources);
+            let expected: Vec<_> = sources
+                .iter()
+                .flat_map(|&s| fresh.row(s))
+                .copied()
+                .collect();
+            assert_eq!(
+                rows, expected,
+                "masked rows {sources:?} diverged at edge {e:?} ({context})"
+            );
+        }
         derived.recycle();
         fresh.recycle();
     }
@@ -186,13 +207,13 @@ fn masked_scan_from_base_matches_fresh_masked_apsp_deterministic_volume() {
     // ≥ 500 edges verified across ER graphs and trees.
     let mut rng = StdRng::seed_from_u64(0x5CA0);
     let mut edges = 0usize;
-    for _ in 0..12 {
+    for i in 0..12 {
         let er = gnp(&mut rng, 30, 0.12);
         edges += er.m();
-        assert_masked_scans_match(&er, "er");
+        assert_masked_scans_match(&er, 2 * i, "er");
         let t = random_tree(&mut rng, 26);
         edges += t.m();
-        assert_masked_scans_match(&t, "tree");
+        assert_masked_scans_match(&t, 2 * i + 1, "tree");
     }
     assert!(edges >= 500, "only {edges} edges verified");
 }
@@ -270,8 +291,8 @@ proptest! {
     }
 
     #[test]
-    fn masked_scans_match_on_random_graphs(g in er_graph(28)) {
-        assert_masked_scans_match(&g, "proptest er");
+    fn masked_scans_match_on_random_graphs(g in er_graph(28), seed in any::<u64>()) {
+        assert_masked_scans_match(&g, seed, "proptest er");
     }
 
     #[test]
