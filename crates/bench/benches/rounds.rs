@@ -8,7 +8,9 @@
 //! comparison: the same synthesized round stream (k = 16 edge-disjoint
 //! swaps per round) with per-round base-matrix audits, switching only
 //! whether each barrier repairs as one batch or as k composed per-swap
-//! repairs. The `masked_scan_*` pair is the acceptance comparison for the
+//! repairs; the `er_wide` family replays k = 64 swaps per round at
+//! n = 256, the wide barriers of a cold start's first rounds, where the
+//! batch's endpoints cover half the vertices. The `masked_scan_*` pair is the acceptance comparison for the
 //! rewritten `EdgeSwapScan`: one deleted-edge APSP derived from the base
 //! matrix vs built by `n` masked BFS runs. `round_engine` runs the real
 //! frozen-snapshot engine end to end (proposals + resolution + batch
@@ -91,6 +93,31 @@ fn bench_round_replay(c: &mut Criterion) {
             },
         );
     }
+
+    // Wide barriers, as in a cold start's first rounds: k = 64 swaps per
+    // round at n = 256, so the batch's endpoints cover half the vertices.
+    // Its own rng, drawn after the loop above, keeps every other id's
+    // workload bit-identical.
+    let n = 256usize;
+    let mut rng = StdRng::seed_from_u64(0x0520_3171);
+    let g0 = random_connected(&mut rng, n, 64);
+    let stream = synth_round_stream(&mut rng, &g0, 4, 64);
+    assert!(stream.iter().all(|r| r.len() == 64));
+    assert_eq!(
+        replay_round_stream(&g0, &stream, true),
+        replay_round_stream(&g0, &stream, false),
+        "arms must agree on the wide stream"
+    );
+    group.bench_with_input(
+        BenchmarkId::new("round_replay_sequential_er_wide", n),
+        &(&g0, &stream),
+        |b, (g0, stream)| b.iter(|| black_box(replay_round_stream(g0, stream, false))),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("round_replay_batched_er_wide", n),
+        &(&g0, &stream),
+        |b, (g0, stream)| b.iter(|| black_box(replay_round_stream(g0, stream, true))),
+    );
     group.finish();
 }
 

@@ -73,6 +73,68 @@ impl Csr {
         }
     }
 
+    /// Refills this CSR in place with `src` minus the `removed` edges
+    /// (each an edge of `src`, none repeated), keeping every surviving
+    /// neighbor list in `src`'s order, in `O(n + m + k)` for `k` removed
+    /// edges. `at`, `far` and `gone` are caller-owned scratch: the removed
+    /// edges' far ends are grouped by near end (`at[v]..at[v + 1]` in
+    /// `far`), and while `v`'s list is copied `gone[z] == v` marks `vz`
+    /// as removed.
+    pub(crate) fn refill_without(
+        &mut self,
+        src: &Csr,
+        removed: &[(V, V)],
+        at: &mut Vec<u32>,
+        far: &mut Vec<V>,
+        gone: &mut Vec<V>,
+    ) {
+        let n = src.n();
+        at.clear();
+        at.resize(n + 1, 0);
+        for &(a, b) in removed {
+            at[a as usize + 1] += 1;
+            at[b as usize + 1] += 1;
+        }
+        for v in 0..n {
+            at[v + 1] += at[v];
+        }
+        // Fill with `at[v]` as v's cursor, then shift the cursors (each now
+        // at v's end, i.e. v + 1's start) back into start offsets.
+        far.clear();
+        far.resize(2 * removed.len(), 0);
+        for &(a, b) in removed {
+            for (p, q) in [(a, b), (b, a)] {
+                far[at[p as usize] as usize] = q;
+                at[p as usize] += 1;
+            }
+        }
+        for v in (1..=n).rev() {
+            at[v] = at[v - 1];
+        }
+        at[0] = 0;
+
+        gone.clear();
+        gone.resize(n, V::MAX);
+        self.offsets.clear();
+        self.targets.clear();
+        self.offsets.push(0);
+        for v in 0..n {
+            let nbrs = src.neighbors(v as V);
+            let cut = &far[at[v] as usize..at[v + 1] as usize];
+            if cut.is_empty() {
+                self.targets.extend_from_slice(nbrs);
+            } else {
+                for &z in cut {
+                    gone[z as usize] = v as V;
+                }
+                self.targets
+                    .extend(nbrs.iter().copied().filter(|&z| gone[z as usize] != v as V));
+            }
+            self.offsets.push(self.targets.len() as u32);
+        }
+        debug_assert_eq!(self.targets.len(), src.targets.len() - 2 * removed.len());
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {
@@ -157,6 +219,40 @@ mod tests {
             nb.sort_unstable();
             assert_eq!(a.neighbors(v), nb.as_slice());
         }
+    }
+
+    #[test]
+    fn refill_without_drops_exactly_the_removed_edges() {
+        // A hub losing several edges at once, plus an edge away from it.
+        let edges = [
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (0, 4),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+        ];
+        let removed = [(2, 0), (0, 4), (3, 4)];
+        let src = Graph::from_edges(6, &edges).to_csr();
+        let kept: Vec<(V, V)> = edges
+            .iter()
+            .copied()
+            .filter(|&(a, b)| {
+                !removed
+                    .iter()
+                    .any(|&(x, y)| (a, b) == (x, y) || (a, b) == (y, x))
+            })
+            .collect();
+        let want = Graph::from_edges(6, &kept).to_csr();
+        let mut out = Csr::from_adjacency(&[]);
+        let (mut at, mut far, mut gone) = (Vec::new(), Vec::new(), Vec::new());
+        out.refill_without(&src, &removed, &mut at, &mut far, &mut gone);
+        assert_eq!(out, want);
+        // Buffers are reused: nothing removed gives the source back.
+        out.refill_without(&src, &[], &mut at, &mut far, &mut gone);
+        assert_eq!(out, src);
     }
 
     #[test]

@@ -27,11 +27,13 @@
 //! * **Batch** ([`DynamicApsp::apply_batch`]) — a whole activation round's
 //!   edge-disjoint swaps repaired at once: one multi-edge deletion pass
 //!   (far endpoints of *all* tight deleted edges seed a level-bucketed
-//!   phase 1, with every inserted edge masked) followed by the round's
-//!   insertions applied as a **fused k-term blend** — one vectorized pass
-//!   per row over `2k` saturating min terms
+//!   phase 1) on `G` minus the round's insertions, a CSR built once per
+//!   barrier so no neighbor visit pays a mask filter, followed by the
+//!   round's insertions applied as a **fused k-term blend** — one
+//!   vectorized pass per row over `2k` saturating min terms
 //!   ([`kernels::fused_blend_cost`]) instead of `k` separate passes over
-//!   the matrix. Rows touched by several deletions are repaired once
+//!   the matrix, with each row's blend constants evolved on compact
+//!   endpoint rows. Rows touched by several deletions are repaired once
 //!   instead of once per deletion.
 //!
 //! Alongside the matrix, the subsystem maintains **per-vertex cost
@@ -61,13 +63,22 @@
 //! against full BFS rebuilds.
 //!
 //! Every update is serviced by repair and blend alone; the work done is
-//! recorded in [`RepairStats`]. Measurements on this workload (see
-//! `BENCH_incremental.json`) show the truncated repair beating a full
-//! rebuild even at total invalidation — a tree-bridge deletion affecting
-//! all `n` sources repairs in a fraction of the rebuild time. Repairs are
-//! embarrassingly parallel (each row repair reads only its own row plus
-//! the CSR), so large updates fan out over rayon workers exactly like the
-//! full build.
+//! recorded in [`RepairStats`]. That is not always the cheaper path. A
+//! single swap repairs far below a rebuild (`BENCH_incremental.json`),
+//! but a wide round barrier is slower than [`DynamicApsp::build`]: on 51
+//! barriers of 64–256 swaps at n = 256 (4-round sum, max, budget and
+//! interest round runs on `random_connected(n, n/4)` and
+//! `watts_strogatz(n, 4, 0.1)` starts, seeds 1–3, 2-core x86-64) repair
+//! took 3–109× (median 47×) a full build while the batch deletion phase
+//! still masked every inserted edge and the blend gathered its constants
+//! from scattered endpoints, and 1.7–15× (median 6×) since. Repair stays
+//! the only path all the same: the round records' `rows_repaired` and
+//! `rows_blended` are the repair's own verdicts, so a rebuild that kept
+//! them would need two full builds per barrier (`G` minus the insertions,
+//! and `G`) and a second code path, to save at most the barrier's 2–3% of
+//! a cold-start run. Repairs are embarrassingly parallel (each row repair
+//! reads only its own row plus the CSR), so large updates fan out over
+//! rayon workers exactly like the full build.
 //!
 //! The repaired matrix is **byte-identical** to a fresh
 //! [`DistanceMatrix::build`] of the mutated graph — distances are unique,
@@ -289,6 +300,8 @@ pub struct DynamicApsp {
     /// Endpoint-incidence table of the current update's mask (reused
     /// buffer; see [`fill_mask_touch`]).
     mask_touch: Vec<bool>,
+    /// Buffers [`apply_batch`](Self::apply_batch) reuses across barriers.
+    batch: BatchScratch,
     /// Maintained per-source row aggregates (sum + eccentricity), exact
     /// for the matrix at all times: deletion repairs re-reduce exactly the
     /// candidate rows, insertion blends compute the new aggregate **in the
@@ -328,6 +341,7 @@ impl DynamicApsp {
             row_x: Vec::new(),
             row_y: Vec::new(),
             mask_touch: Vec::new(),
+            batch: BatchScratch::new(),
             costs: vec![RowCost::default(); n],
         };
         this.refresh_costs_all();
@@ -513,11 +527,19 @@ impl DynamicApsp {
     }
 
     /// Applies a whole **round** of swaps as one batch repair at the round
-    /// barrier: every deletion is repaired in a single multi-edge pass
-    /// (with all of the round's insertions masked out of the scans), then
-    /// the insertions are blended in order. `csr` must be the snapshot of
-    /// the graph **after the entire batch** — the state the round engine's
-    /// accepted moves left behind.
+    /// barrier: every deletion is repaired in a single multi-edge pass,
+    /// then the insertions are blended in order
+    /// ([`update_insertions_batch`](Self::update_insertions_batch)). `csr`
+    /// must be the snapshot of the graph **after the entire batch** — the
+    /// state the round engine's accepted moves left behind.
+    ///
+    /// The deletion pass runs on `G` minus the round's insertions (the
+    /// pre-batch graph minus the deleted edges), copied out of `csr` once
+    /// per barrier in `O(n + m + k)` into a buffer the matrix keeps. Its
+    /// walks then read plain neighbor lists: a mask filter would cost
+    /// `O(k)` per neighbor of every batch endpoint, and a wide round's
+    /// endpoints cover nearly every vertex. Both phases therefore cost
+    /// the same per neighbor visit whatever the batch size.
     ///
     /// The batch must have pairwise edge-disjoint footprints relative to
     /// the round-start graph: deleted edges distinct and all present
@@ -657,11 +679,21 @@ impl DynamicApsp {
 
     /// Multi-deletion repair driver for [`apply_batch`](Self::apply_batch):
     /// repairs every source row the batch's deletions can touch in one
-    /// pass.
-    fn update_deletions_batch(&mut self, csr: &Csr, deleted: &[(V, V)], mask: &[(V, V)]) {
+    /// pass, on `G` minus the batch's `inserted` edges with nothing
+    /// masked.
+    fn update_deletions_batch(&mut self, csr: &Csr, deleted: &[(V, V)], inserted: &[(V, V)]) {
         let n = self.n;
         debug_assert_eq!(csr.n(), n);
         self.stats.last_rows_blended = 0;
+        let csr = if inserted.is_empty() {
+            csr
+        } else {
+            let s = &mut self.batch;
+            s.csr
+                .refill_without(csr, inserted, &mut s.at, &mut s.far, &mut s.gone);
+            &s.csr
+        };
+        let mask: &[(V, V)] = &[];
         fill_mask_touch(&mut self.mask_touch, n, mask);
 
         // Stage A (coarse): a row can change only if some deleted edge was
@@ -780,70 +812,112 @@ impl DynamicApsp {
     /// ([`kernels::fused_blend_cost`]).
     ///
     /// Blend `j` of a generic row needs two things: the rows of `x_j`/`y_j`
-    /// *as they stood after blends `0..j`* (the snapshots, evolved once
-    /// globally — tiny: `O(k² · n)` for `2k` rows) and the row's own
-    /// entries at the endpoint positions after blends `0..j` (the blend
-    /// constants, evolved per row over just the `≤ 2k` tracked positions).
-    /// With both in hand the `k` blends commute into a single `min` over
-    /// `2k` terms per element, applied in one cache-resident sweep that
-    /// also yields the row's new cost aggregate. Byte-identical to `k`
-    /// sequential [`update_insertion`](Self::update_insertion) passes, but
-    /// touches the `n²` matrix **once** instead of `k` times — on large
-    /// `n` the blend is memory-bound, and this is exactly where the round
-    /// barrier's batching pays.
+    /// *as they stood after blends `0..j`* (the snapshots) and the row's
+    /// own entries at the endpoint positions after blends `0..j` (the
+    /// blend constants). With both in hand the `k` blends commute into a
+    /// single `min` over `2k` terms per element, applied in one
+    /// cache-resident sweep that also yields the row's new cost
+    /// aggregate. Byte-identical to `k` sequential
+    /// [`update_insertion`](Self::update_insertion) passes, but touches
+    /// the `n²` matrix **once** instead of `k` times.
+    ///
+    /// Both inputs are prepared once per barrier, in buffers the matrix
+    /// keeps ([`BatchScratch`]):
+    ///
+    /// * **Snapshots.** Working copies of the batch's endpoint rows are
+    ///   evolved through the batch, and at step `j` a working row is
+    ///   blended only while a later insertion still snapshots it. A row
+    ///   whose last snapshot is step `j` is itself that snapshot; a row
+    ///   read again later is copied first.
+    /// * **Compact endpoint rows.** Each insertion's endpoint slots are
+    ///   resolved once, and each snapshot's values at the endpoints still
+    ///   read after its step are copied into a contiguous row. A row then
+    ///   evolves its blend constants with a plain contiguous
+    ///   min/saturating-add loop over just those endpoints, instead of
+    ///   `2k` scattered gathers and two searches per insertion.
     fn update_insertions_batch(&mut self, inserted: &[(V, V)]) {
         let _t = telemetry::histogram!("apsp.blend_ns").start();
         let n = self.n;
         let k = inserted.len();
         debug_assert!(k >= 2);
+        let s = &mut self.batch;
+        s.plan(n, inserted);
+        let e = s.ends.len();
 
-        // Evolve working copies of every endpoint row through the batch,
-        // snapshotting each insertion's (x, y) pair at its own step.
-        let mut endpoints: Vec<V> = inserted.iter().flat_map(|&(x, y)| [x, y]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let mut working: Vec<Vec<Dist>> =
-            endpoints.iter().map(|&v| self.dm.row(v).to_vec()).collect();
-        let row_of = |endpoints: &[V], v: V| endpoints.binary_search(&v).expect("endpoint row");
-        let mut snaps: Vec<(Vec<Dist>, Vec<Dist>)> = Vec::with_capacity(k);
-        for &(x, y) in inserted {
-            let sx = working[row_of(&endpoints, x)].clone();
-            let sy = working[row_of(&endpoints, y)].clone();
-            for row in &mut working {
-                blend_row_cost(row, x as usize, y as usize, &sx, &sy);
-            }
-            snaps.push((sx, sy));
+        // Evolve the working endpoint rows through the batch, recording
+        // each insertion's (x, y) snapshot at its own step.
+        s.work.clear();
+        for &v in &s.ends {
+            s.work.extend_from_slice(self.dm.row(v));
         }
-        drop(working);
+        s.frozen.clear();
+        s.snaps.clear();
+        for (j, &(x, y)) in inserted.iter().enumerate() {
+            let live = s.live[j] as usize;
+            let (mut rx, mut ry) = s.pairs[j];
+            for r in [&mut rx, &mut ry] {
+                if (*r as usize) < live {
+                    // Blended below and read again later: freeze a copy.
+                    let at = *r as usize * n;
+                    s.frozen.extend_from_slice(&s.work[at..at + n]);
+                    *r = (e + s.frozen.len() / n - 1) as u32;
+                }
+            }
+            s.snaps.push((rx, ry));
+            let (head, tail) = s.work.split_at_mut(live * n);
+            let snap = |r: u32| snap_row(tail, live, &s.frozen, n, r);
+            let (sx, sy) = (snap(rx), snap(ry));
+            for row in head.chunks_exact_mut(n) {
+                blend_row_cost(row, x as usize, y as usize, sx, sy);
+            }
+        }
 
-        // Fused replay: recover each blend's constants by evolving the
-        // row's endpoint entries, drop terms the adjacent-levels test
-        // proves inert, then apply every surviving term in one pass.
-        let endpoints = &endpoints;
-        let snaps = &snaps;
+        // Compact snapshots: step j's x/y snapshot values at the endpoints
+        // read after it (`ends[..live[j]]`), step after step.
+        s.cx.clear();
+        s.cy.clear();
+        for (j, &(rx, ry)) in s.snaps.iter().enumerate() {
+            let sx = snap_row(&s.work, 0, &s.frozen, n, rx);
+            let sy = snap_row(&s.work, 0, &s.frozen, n, ry);
+            for &v in &s.ends[..s.live[j] as usize] {
+                s.cx.push(sx[v as usize]);
+                s.cy.push(sy[v as usize]);
+            }
+        }
+
+        // Fused replay: evolve each row's blend constants on its compact
+        // endpoint row, drop terms the adjacent-levels test proves inert,
+        // then apply every surviving term in one pass.
+        let s = &self.batch;
         let replay = |row: &mut [Dist]| -> Option<RowCost> {
-            let mut ep_vals: Vec<Dist> = endpoints.iter().map(|&v| row[v as usize]).collect();
+            let mut consts: Vec<Dist> = s.ends.iter().map(|&v| row[v as usize]).collect();
             let mut terms: Vec<BlendTerm<'_>> = Vec::with_capacity(k);
-            for (j, &(x, y)) in inserted.iter().enumerate() {
-                let dsx = ep_vals[row_of(endpoints, x)];
-                let dsy = ep_vals[row_of(endpoints, y)];
+            let mut next = 0usize;
+            for (j, &(a, b)) in s.pairs.iter().enumerate() {
+                let (o, live) = (next, s.live[j] as usize);
+                next += live;
+                let dsx = consts[a as usize];
+                let dsy = consts[b as usize];
                 if dsx.abs_diff(dsy) <= 1 {
                     continue; // provably inert for this row
                 }
-                let (sx, sy) = &snaps[j];
                 let add_a = dsx.saturating_add(1);
                 let add_b = dsy.saturating_add(1);
-                for (val, &p) in ep_vals.iter_mut().zip(endpoints.iter()) {
-                    let pos = p as usize;
+                for ((val, &vy), &vx) in consts[..live]
+                    .iter_mut()
+                    .zip(&s.cy[o..o + live])
+                    .zip(&s.cx[o..o + live])
+                {
                     *val = (*val)
-                        .min(add_a.saturating_add(sy[pos]))
-                        .min(add_b.saturating_add(sx[pos]));
+                        .min(add_a.saturating_add(vy))
+                        .min(add_b.saturating_add(vx));
                 }
+                let (rx, ry) = s.snaps[j];
                 terms.push(BlendTerm {
                     add_a,
-                    row_a: sy,
+                    row_a: snap_row(&s.work, 0, &s.frozen, n, ry),
                     add_b,
-                    row_b: sx,
+                    row_b: snap_row(&s.work, 0, &s.frozen, n, rx),
                 });
             }
             if terms.is_empty() {
@@ -1088,10 +1162,12 @@ fn repair_marked_rows(
     }
 }
 
-/// Neighbors of `v` in `csr` with a (typically tiny) set of edges masked
-/// out: the not-yet-blended inserted edges during the deletion phase of a
-/// swap or swap batch, or the deleted edge itself when repairing off a
-/// base matrix whose CSR still contains it.
+/// Neighbors of `v` in `csr` with at most one edge masked out: the
+/// not-yet-blended inserted edge during the deletion phase of a single
+/// swap, or the deleted edge itself when repairing off a base matrix whose
+/// CSR still contains it. Batches pass an empty mask: their deletion phase
+/// walks a CSR that already lacks the inserted edges
+/// ([`DynamicApsp::apply_batch`]).
 #[inline]
 fn masked_neighbors<'a>(
     csr: &'a Csr,
@@ -1100,9 +1176,11 @@ fn masked_neighbors<'a>(
     touch: &'a [bool],
 ) -> impl Iterator<Item = V> + 'a {
     // `touch[v]` answers "is v an endpoint of any masked edge?" in O(1):
-    // almost every scanned vertex is not, and its neighbors then stream
-    // through unfiltered — without this a k-swap batch would pay k
-    // comparisons per neighbor on every scan of every repaired row.
+    // with one masked edge only its two endpoints pay the filter, and
+    // every other vertex's neighbors stream through unfiltered. The
+    // shortcut does not hold for a wide mask: a k-swap batch's endpoints
+    // cover nearly every vertex, and each of their neighbors would pay k
+    // comparisons — why batches do not mask.
     let relevant = touch[v as usize];
     csr.neighbors(v).iter().copied().filter(move |&t| {
         !relevant
@@ -1252,9 +1330,10 @@ fn repair_row_kernel_single(
 /// Repair of one source row for a whole **batch** of deletions: the
 /// level-bucketed frontier walk batching its row reads through the kernel
 /// layer. Returns whether the row changed at all. `csr` must already lack
-/// every edge in `deleted`; `mask` hides the batch's not-yet-blended
-/// insertions from the scans. Pinned to full BFS rebuilds by
-/// `tests/dynamic_apsp_props.rs`.
+/// every edge in `deleted`, and the batch's not-yet-blended insertions
+/// too: [`DynamicApsp::apply_batch`] walks `G` minus them with an empty
+/// `mask`, so every vertex takes [`probe_and_gather`]'s unfiltered path.
+/// Pinned to full BFS rebuilds by `tests/dynamic_apsp_props.rs`.
 ///
 /// **Phase 1.** Far endpoints of tight deleted edges seed per-level
 /// buckets, processed in ascending level order (seeds sit at arbitrary
@@ -1501,6 +1580,110 @@ fn blend_row_cost(
         row_b: rx,
     };
     Some(kernels::fused_blend_cost(row, &[term]))
+}
+
+/// Buffers [`DynamicApsp::apply_batch`] keeps across barriers: the
+/// deletion phase's CSR and the batched blend's endpoint plan, working
+/// rows, snapshots and compact endpoint rows.
+#[derive(Debug, Clone)]
+struct BatchScratch {
+    /// `G` minus the batch's insertions, the graph the deletion phase
+    /// walks, with [`Csr::refill_without`]'s grouping scratch.
+    csr: Csr,
+    at: Vec<u32>,
+    far: Vec<V>,
+    gone: Vec<V>,
+    /// Endpoint slot of every vertex (`u32::MAX` = not an endpoint).
+    slot: Vec<u32>,
+    /// The batch's distinct endpoints, ordered by last read, latest first.
+    ends: Vec<V>,
+    /// Each insertion's `(x, y)` endpoint slots.
+    pairs: Vec<(u32, u32)>,
+    /// `live[j]`: how many endpoints an insertion after `j` still reads —
+    /// by the order of `ends`, exactly the prefix `ends[..live[j]]`.
+    live: Vec<u32>,
+    /// Working endpoint rows, slot-major (`ends.len() × n`).
+    work: Vec<Dist>,
+    /// Snapshot copies of working rows that are read again after their
+    /// snapshot step.
+    frozen: Vec<Dist>,
+    /// Each insertion's `(x, y)` snapshot rows: `r < ends.len()` is
+    /// working row `r`, any other `r` is frozen row `r − ends.len()`.
+    snaps: Vec<(u32, u32)>,
+    /// Compact snapshots: insertion `j`'s x/y snapshot values at
+    /// `ends[..live[j]]`, stored after those of insertions `0..j`.
+    cx: Vec<Dist>,
+    cy: Vec<Dist>,
+}
+
+impl BatchScratch {
+    fn new() -> Self {
+        BatchScratch {
+            csr: Csr::from_adjacency(&[]),
+            at: Vec::new(),
+            far: Vec::new(),
+            gone: Vec::new(),
+            slot: Vec::new(),
+            ends: Vec::new(),
+            pairs: Vec::new(),
+            live: Vec::new(),
+            work: Vec::new(),
+            frozen: Vec::new(),
+            snaps: Vec::new(),
+            cx: Vec::new(),
+            cy: Vec::new(),
+        }
+    }
+
+    /// Resolves the endpoint plan of `inserted` in `O(n + k)`: walking
+    /// the batch backwards, an endpoint gets its slot at its last read,
+    /// so `ends` comes out latest-read first and `live[j]` is the number
+    /// of slots handed out after step `j`.
+    fn plan(&mut self, n: usize, inserted: &[(V, V)]) {
+        let k = inserted.len();
+        self.slot.clear();
+        self.slot.resize(n, u32::MAX);
+        self.ends.clear();
+        self.live.clear();
+        self.live.resize(k, 0);
+        for j in (0..k).rev() {
+            self.live[j] = self.ends.len() as u32;
+            let (x, y) = inserted[j];
+            for v in [x, y] {
+                if self.slot[v as usize] == u32::MAX {
+                    self.slot[v as usize] = self.ends.len() as u32;
+                    self.ends.push(v);
+                }
+            }
+        }
+        let slot = &self.slot;
+        self.pairs.clear();
+        self.pairs.extend(
+            inserted
+                .iter()
+                .map(|&(x, y)| (slot[x as usize], slot[y as usize])),
+        );
+    }
+}
+
+/// Snapshot row `r` of [`BatchScratch::snaps`], given the working rows
+/// from slot `first` to the last endpoint in `work` and the frozen copies
+/// in `frozen`.
+#[inline]
+fn snap_row<'a>(
+    work: &'a [Dist],
+    first: usize,
+    frozen: &'a [Dist],
+    n: usize,
+    r: u32,
+) -> &'a [Dist] {
+    let (r, e) = (r as usize, first + work.len() / n);
+    let (rows, i) = if r < e {
+        (work, r - first)
+    } else {
+        (frozen, r - e)
+    };
+    &rows[i * n..(i + 1) * n]
 }
 
 /// Reusable buffers for one row repair: epoch-stamped

@@ -9,7 +9,10 @@
 //! `DistanceMatrix::build` of the mutated graph after **every** step;
 //! single swaps also pin stage A's
 //! candidate count to the exact number of rows the deletion changes, and
-//! round batches are swept the same way through `apply_batch`.
+//! round batches are swept the same way through `apply_batch`, each
+//! barrier's repair, blend and candidate counters and row aggregates
+//! pinned to BFS builds as well — wide (`k = n/2`) and hub-shaped
+//! batches included.
 //! Deterministic long-run tests keep the step counts above fixed floors
 //! regardless of proptest case budgets, and context-level properties pin
 //! `refresh_after` trajectories to fresh contexts under both objectives.
@@ -18,7 +21,8 @@ use bncg::game::context::EvalContext;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
 use bncg::graph::adjacency::{Edge, SwapApplied};
 use bncg::graph::dynamic::DynamicApsp;
-use bncg::graph::generators::random::{gnp, random_tree};
+use bncg::graph::generators::random::{gnp, random_connected, random_tree};
+use bncg::graph::kernels;
 use bncg::graph::{Csr, DistanceMatrix, Graph, V};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -175,24 +179,126 @@ fn synth_batch<R: Rng>(rng: &mut R, g: &Graph, k: usize) -> Vec<(V, V, V)> {
     batch
 }
 
+/// Number of source rows on which `a` and `b` differ.
+fn rows_differing(a: &DistanceMatrix, b: &DistanceMatrix) -> usize {
+    (0..a.n() as V).filter(|&s| a.row(s) != b.row(s)).count()
+}
+
+/// Applies `moves` to `g` as one round barrier and checks `da` against
+/// BFS builds of three graphs: the pre-batch graph, `G − inserted` (the
+/// pre-batch graph minus the deleted edges) and the post-batch `G`. The
+/// matrix must equal the build of `G`; the batch counters must count
+/// exactly the rows the deletion phase changed (`last_rows_repaired`),
+/// the rows the blend changed (`last_rows_blended`) and stage A's
+/// candidates — the rows where some deleted edge is tight, or for a
+/// one-swap batch the rows its deletion changes; every row aggregate
+/// must equal the fresh row's.
+fn apply_and_check_batch(da: &mut DynamicApsp, g: &mut Graph, moves: &[(V, V, V)], context: &str) {
+    let before = DistanceMatrix::build(&g.to_csr());
+    let batch: Vec<_> = moves
+        .iter()
+        .map(|&(v, w, w2)| g.apply_swap(v, w, w2))
+        .collect();
+    let csr = g.to_csr();
+    da.apply_batch(&csr, &batch);
+    let fresh = DistanceMatrix::build(&csr);
+    assert_eq!(
+        da.matrix(),
+        &fresh,
+        "dynamic matrix diverged from full rebuild ({context})"
+    );
+
+    let mut bare = g.clone();
+    let mut deleted = Vec::new();
+    for rec in &batch {
+        match *rec {
+            SwapApplied::Noop => {}
+            SwapApplied::Deleted { v, w } => deleted.push((v, w)),
+            SwapApplied::Swapped { v, w, w2 } => {
+                deleted.push((v, w));
+                bare.remove_edge(v, w2);
+            }
+        }
+    }
+    let mid = DistanceMatrix::build(&bare.to_csr());
+    let stats = da.stats();
+    assert_eq!(
+        stats.last_rows_repaired,
+        rows_differing(&before, &mid),
+        "repaired rows != rows the deletions change ({context})"
+    );
+    assert_eq!(
+        stats.last_rows_blended,
+        rows_differing(&mid, &fresh),
+        "blended rows != rows the insertions change ({context})"
+    );
+    let candidates = if deleted.len() == 1 {
+        rows_differing(&before, &mid)
+    } else {
+        (0..before.n() as V)
+            .filter(|&s| {
+                deleted
+                    .iter()
+                    .any(|&(u, w)| before.get(s, u) != before.get(s, w))
+            })
+            .count()
+    };
+    assert_eq!(
+        stats.last_repair_candidates, candidates,
+        "stage-A candidates != tight rows ({context})"
+    );
+    for s in 0..fresh.n() as V {
+        assert_eq!(
+            da.row_costs()[s as usize],
+            kernels::row_cost(fresh.row(s)),
+            "row {s} aggregate diverged ({context})"
+        );
+    }
+}
+
 /// Replays `rounds` synthesized swap batches through `apply_batch`,
-/// checking the maintained matrix against a full rebuild after every
-/// round barrier. Returns total swaps applied.
+/// checking matrix, counters and aggregates after every round barrier
+/// ([`apply_and_check_batch`]). Returns total swaps applied.
 fn replay_batches_and_check(mut g: Graph, seed: u64, rounds: usize, k: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut da = DynamicApsp::build(&g.to_csr());
     let mut applied = 0;
     for round in 0..rounds {
         let moves = synth_batch(&mut rng, &g, k);
-        let batch: Vec<_> = moves
-            .iter()
-            .map(|&(v, w, w2)| g.apply_swap(v, w, w2))
-            .collect();
-        da.apply_batch(&g.to_csr(), &batch);
+        apply_and_check_batch(&mut da, &mut g, &moves, &format!("batch round {round}"));
         applied += moves.len();
-        assert_byte_identical(&da, &g, &format!("batch round {round}"));
     }
     applied
+}
+
+/// One hub round: every vertex not adjacent to `h` (up to `k` of them,
+/// in ascending order) moves one of its edges, chosen at random among
+/// those not yet in the round's footprints, onto `h` — the shape of a
+/// round where many agents buy into the same center.
+fn hub_batch<R: Rng>(rng: &mut R, g: &Graph, h: V, k: usize) -> Vec<(V, V, V)> {
+    let mut touched: Vec<Edge> = Vec::new();
+    let mut batch = Vec::new();
+    for v in 0..g.n() as V {
+        if batch.len() == k {
+            break;
+        }
+        if v == h || g.has_edge(v, h) {
+            continue;
+        }
+        let free: Vec<V> = g
+            .neighbors(v)
+            .iter()
+            .copied()
+            .filter(|&w| !touched.contains(&Edge::new(v, w)))
+            .collect();
+        if free.is_empty() {
+            continue;
+        }
+        let w = free[rng.gen_range(0..free.len())];
+        touched.extend_from_slice(&[Edge::new(v, w), Edge::new(v, h)]);
+        batch.push((v, w, h));
+    }
+    batch
 }
 
 #[test]
@@ -228,6 +334,47 @@ fn batch_repairs_match_bfs() {
         total += replay_batches_and_check(t, 0x40 + round, 4, 4);
     }
     assert!(total >= 150, "batch volume floor not met: {total} swaps");
+}
+
+#[test]
+fn wide_batch_repairs_match_bfs() {
+    // Rounds as wide as a cold start's first barriers: k = n/2 swaps, then
+    // one hub round that moves at least n/4 edges onto a single vertex.
+    let mut rng = StdRng::seed_from_u64(0x01DE_BA7C);
+    for n in [48usize, 128] {
+        let starts = [
+            ("er", random_connected(&mut rng, n, n / 4)),
+            ("tree", random_tree(&mut rng, n)),
+        ];
+        for (family, g0) in starts {
+            let mut g = g0;
+            let mut da = DynamicApsp::build(&g.to_csr());
+            for round in 0..3 {
+                let moves = synth_batch(&mut rng, &g, n / 2);
+                assert!(
+                    moves.len() >= n / 4,
+                    "{family}/{n} round {round}: only {} swaps",
+                    moves.len()
+                );
+                apply_and_check_batch(
+                    &mut da,
+                    &mut g,
+                    &moves,
+                    &format!("{family}/{n} round {round}"),
+                );
+            }
+            let h = rng.gen_range(0..n as V);
+            let moves = hub_batch(&mut rng, &g, h, n / 2);
+            assert!(
+                moves.len() >= n / 4,
+                "{family}/{n} hub round: only {} swaps onto {h}",
+                moves.len()
+            );
+            apply_and_check_batch(&mut da, &mut g, &moves, &format!("{family}/{n} hub round"));
+            let moves = synth_batch(&mut rng, &g, n / 2);
+            apply_and_check_batch(&mut da, &mut g, &moves, &format!("{family}/{n} after hub"));
+        }
+    }
 }
 
 #[test]
