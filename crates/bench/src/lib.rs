@@ -275,7 +275,11 @@ mod perf_gate {
     use std::hint::black_box;
     use std::time::{Duration, Instant};
 
+    use bncg_core::context::EvalContext;
+    use bncg_core::swap::SwapMove;
+    use bncg_graph::components::connected_components;
     use bncg_graph::generators::random::random_connected;
+    use bncg_graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -283,6 +287,41 @@ mod perf_gate {
         record_trajectory, replay, replay_round_stream, replay_round_stream_rules,
         synth_round_stream,
     };
+
+    /// Replays `stream` the way [`replay_round_stream`] does and returns
+    /// the rows its barriers repaired in total, with every batched
+    /// barrier's `last_rows_walked` and whether its round-start graph was
+    /// a forest (empty for the sequential arm).
+    fn round_stream_repairs(
+        g0: &Graph,
+        stream: &[Vec<SwapMove>],
+        batched: bool,
+    ) -> (u64, Vec<(usize, bool)>) {
+        let mut g = g0.clone();
+        let mut ctx = EvalContext::new(&g);
+        ctx.base();
+        let start = ctx.dynamic_stats_snapshot();
+        let mut walked = Vec::new();
+        for round in stream {
+            if batched {
+                let (_, count) = connected_components(&g);
+                let forest = g.m() + count == g.n();
+                let batch: Vec<_> = round.iter().map(|mv| mv.apply(&mut g)).collect();
+                ctx.refresh_after_batch(&g, &batch);
+                walked.push((ctx.dynamic_stats_snapshot().last_rows_walked, forest));
+            } else {
+                for mv in round {
+                    let rec = mv.apply(&mut g);
+                    ctx.refresh_after(&g, &rec);
+                }
+            }
+        }
+        let repaired = ctx
+            .dynamic_stats_snapshot()
+            .delta_since(&start)
+            .rows_repaired;
+        (repaired, walked)
+    }
 
     fn best_of(reps: usize, mut f: impl FnMut() -> u32) -> Duration {
         let mut best = Duration::MAX;
@@ -348,11 +387,34 @@ mod perf_gate {
             replay_round_stream(&g0, &stream, false),
             "paths must agree before their timings mean anything"
         );
-        // The measured advantage (~1.26× on trees) is thinner than the
-        // incremental gate's, so the arms are measured in *interleaved*
-        // best-of-5 pairs: a spurious failure would need noise to inflate
-        // every batched rep while sparing some adjacent sequential rep,
-        // rather than one bad scheduling window swallowing a whole arm.
+        // The structural claim, in counters on the same stream. A barrier
+        // repairs each row once however many of the round's deletions
+        // reach it, so the batched arm repairs fewer rows in total. And a
+        // barrier on a forest walks no row: every deletion there cuts a
+        // component off, which the batch stamps unreachable instead. The
+        // stream keeps a tree only through its first barrier (`w2` is
+        // drawn anywhere, so about half the swaps close a cycle), and the
+        // later barriers walk the rows those cycles reach.
+        let (sequential_rows, _) = round_stream_repairs(&g0, &stream, false);
+        let (batched_rows, barriers) = round_stream_repairs(&g0, &stream, true);
+        assert!(
+            batched_rows < sequential_rows,
+            "batch repaired {batched_rows} rows vs {sequential_rows} sequentially"
+        );
+        assert!(barriers[0].1, "the stream must start on a tree");
+        for (i, &(walked, forest)) in barriers.iter().enumerate() {
+            assert!(
+                !forest || walked == 0,
+                "barrier {i} walked {walked} rows on a forest"
+            );
+        }
+        // The measured advantage (~2.9× on `benches/rounds.rs`'s n = 2048
+        // tree stream since the batch stamps cut-off components, ~1.8×
+        // before) is thinner than the incremental gate's, so the arms are
+        // measured in *interleaved* best-of-5 pairs: a spurious failure
+        // would need noise to inflate every batched rep while sparing some
+        // adjacent sequential rep, rather than one bad scheduling window
+        // swallowing a whole arm.
         let mut sequential = Duration::MAX;
         let mut batched = Duration::MAX;
         for _ in 0..5 {

@@ -26,11 +26,18 @@
 //!   [`SwapApplied`] record the game board already produces.
 //! * **Batch** ([`DynamicApsp::apply_batch`]) — a whole activation round's
 //!   edge-disjoint swaps repaired at once: one multi-edge deletion pass
-//!   (far endpoints of *all* tight deleted edges seed a level-bucketed
-//!   phase 1) on `G` minus the round's insertions, a CSR built once per
-//!   barrier so no neighbor visit pays a mask filter, followed by the
-//!   round's insertions applied as a **fused k-term blend** — one
-//!   vectorized pass per row over `2k` saturating min terms
+//!   on `H` = `G` minus the round's insertions, a CSR built once per
+//!   barrier so no neighbor visit pays a mask filter. `H`'s connected
+//!   components are labelled once per barrier (one `O(n + m)` BFS, each
+//!   component's members listed contiguously). Each row seeds a
+//!   level-bucketed phase 1 from the far endpoints of the tight deleted
+//!   edges *inside its own component*, then stamps the unreachable
+//!   sentinel over the members of every other component instead of
+//!   walking them. On a tree every deletion is a bridge, so a tree
+//!   barrier stamps what it cuts off and walks nothing; the single-edge
+//!   and scan paths still walk a cut-off side. The deletion pass is
+//!   followed by the round's insertions applied as a **fused k-term
+//!   blend** — one vectorized pass per row over `2k` saturating min terms
 //!   ([`kernels::fused_blend_cost`]) instead of `k` separate passes over
 //!   the matrix, with each row's blend constants evolved on compact
 //!   endpoint rows. Rows touched by several deletions are repaired once
@@ -71,14 +78,19 @@
 //! `watts_strogatz(n, 4, 0.1)` starts, seeds 1–3, 2-core x86-64) repair
 //! took 3–109× (median 47×) a full build while the batch deletion phase
 //! still masked every inserted edge and the blend gathered its constants
-//! from scattered endpoints, and 1.7–15× (median 6×) since. Repair stays
-//! the only path all the same: the round records' `rows_repaired` and
-//! `rows_blended` are the repair's own verdicts, so a rebuild that kept
-//! them would need two full builds per barrier (`G` minus the insertions,
-//! and `G`) and a second code path, to save at most the barrier's 2–3% of
-//! a cold-start run. Repairs are embarrassingly parallel (each row repair
-//! reads only its own row plus the CSR), so large updates fan out over
-//! rayon workers exactly like the full build.
+//! from scattered endpoints, and 1.7–15× (median 6×) since. A round on
+//! a tree cuts every row: a 16-swap barrier at n = 2048 (vertex-disjoint,
+//! connectivity-keeping swaps on a random tree, 24 barriers, 2 runs) took
+//! a median 90–92 ms, about twice a full build (38–55 ms), while each row
+//! walked the components the round cut off, and 23–24 ms since the batch
+//! stamps them (2-core x86-64). Repair stays the only path
+//! all the same: the round records' `rows_repaired` and `rows_blended`
+//! are the repair's own verdicts, so a rebuild that kept them would need
+//! two full builds per barrier (`G` minus the insertions, and `G`) and a
+//! second code path, to save at most the barrier's 2–3% of a cold-start
+//! run. Repairs are embarrassingly parallel (each row repair reads only
+//! its own row plus the CSR), so large updates fan out over rayon workers
+//! exactly like the full build.
 //!
 //! The repaired matrix is **byte-identical** to a fresh
 //! [`DistanceMatrix::build`] of the mutated graph — distances are unique,
@@ -161,6 +173,13 @@ pub struct RepairStats {
     /// Rows actually repaired in the most recent update (batch-wide for a
     /// batch update).
     pub last_rows_repaired: usize,
+    /// Rows of the most recent update whose deletion repair walked an
+    /// affected set (phases 1–2). Equal to `last_rows_repaired` on a
+    /// single-edge update, whose walker also walks a cut-off side; a
+    /// batch leaves out the rows whose only change is a component the
+    /// batch cut off, which it stamps unreachable without walking. `0`
+    /// when nothing was deleted.
+    pub last_rows_walked: usize,
     /// Rows blended in the most recent update (summed over a batch's
     /// insertions for a batch update).
     pub last_rows_blended: usize,
@@ -202,7 +221,8 @@ impl RepairStats {
 //   apsp.stage_a_ns / apsp.phase1_ns / apsp.phase2_ns / apsp.blend_ns
 //                      — duration histograms of the maintained matrix's
 //                        repair phases (stage A per update, phases 1/2
-//                        per repaired row, blend per update).
+//                        per repaired row — phase 2 with a batch row's
+//                        stamp of cut-off components — blend per update).
 //   apsp.rows_repaired / apsp.rows_blended — counters.
 //   scan.copy_ns / scan.stage_a_ns / scan.phase1_ns / scan.phase2_ns /
 //   scan.rows_repaired — the same breakdown for `masked_apsp_from_base`
@@ -249,7 +269,8 @@ pub struct RepairPhases {
     pub stage_a_ns: u64,
     /// Phase-1 affected-set walks, summed over repaired rows.
     pub phase1_ns: u64,
-    /// Phase-2 boundary settles, summed over repaired rows.
+    /// Phase-2 boundary settles, and a batch row's stamp of the
+    /// components the batch cut off, summed over repaired rows.
     pub phase2_ns: u64,
     /// Insertion blend passes.
     pub blend_ns: u64,
@@ -528,10 +549,9 @@ impl DynamicApsp {
 
     /// Applies a whole **round** of swaps as one batch repair at the round
     /// barrier: every deletion is repaired in a single multi-edge pass,
-    /// then the insertions are blended in order
-    /// ([`update_insertions_batch`](Self::update_insertions_batch)). `csr`
-    /// must be the snapshot of the graph **after the entire batch** — the
-    /// state the round engine's accepted moves left behind.
+    /// then the insertions are blended in order, fused into one pass per
+    /// row. `csr` must be the snapshot of the graph **after the entire
+    /// batch** — the state the round engine's accepted moves left behind.
     ///
     /// The deletion pass runs on `G` minus the round's insertions (the
     /// pre-batch graph minus the deleted edges), copied out of `csr` once
@@ -539,7 +559,15 @@ impl DynamicApsp {
     /// walks then read plain neighbor lists: a mask filter would cost
     /// `O(k)` per neighbor of every batch endpoint, and a wide round's
     /// endpoints cover nearly every vertex. Both phases therefore cost
-    /// the same per neighbor visit whatever the batch size.
+    /// the same per neighbor visit whatever the batch size. The pass also
+    /// labels that graph's connected components once, in `O(n + m)`: a
+    /// row walks only the affected set inside its own component, seeded
+    /// from the tight deleted edges there, and stamps every other
+    /// component unreachable from the component's member list. A round
+    /// that cuts the graph — every round on a tree — thus pays one write
+    /// per cut-off entry instead of a walk of it; the single-edge path
+    /// ([`apply_swap`](Self::apply_swap)) and the scans still walk a
+    /// cut-off side.
     ///
     /// The batch must have pairwise edge-disjoint footprints relative to
     /// the round-start graph: deleted edges distinct and all present
@@ -594,6 +622,7 @@ impl DynamicApsp {
             debug_assert!(inserted.is_empty(), "insertions always pair with deletions");
             self.stats.last_repair_candidates = 0;
             self.stats.last_rows_repaired = 0;
+            self.stats.last_rows_walked = 0;
             self.stats.last_rows_blended = 0;
             // An empty (or all-noop) batch is trivially serviced in place.
             self.stats.incremental += 1;
@@ -630,6 +659,7 @@ impl DynamicApsp {
         debug_assert_eq!(csr.n(), self.n);
         self.stats.last_repair_candidates = 0;
         self.stats.last_rows_repaired = 0;
+        self.stats.last_rows_walked = 0;
         self.update_insertion(x, y);
         self.stats.incremental += 1;
         self.stats.updates += 1;
@@ -654,12 +684,14 @@ impl DynamicApsp {
 
         if candidates == 0 {
             self.stats.last_rows_repaired = 0;
+            self.stats.last_rows_walked = 0;
             self.stats.incremental += 1;
             return;
         }
 
         // Stage B: truncated per-row repair, parallel when wide enough,
         // then an aggregate re-reduce over exactly the repaired rows.
+        // Every marked row walks, a cut-off side included.
         repair_marked_rows(
             csr,
             mask,
@@ -672,6 +704,7 @@ impl DynamicApsp {
         );
         self.refresh_costs_marked(candidates);
         self.stats.last_rows_repaired = candidates;
+        self.stats.last_rows_walked = candidates;
         self.stats.rows_repaired += candidates as u64;
         telemetry::counter!("apsp.rows_repaired").add(candidates as u64);
         self.stats.incremental += 1;
@@ -679,19 +712,34 @@ impl DynamicApsp {
 
     /// Multi-deletion repair driver for [`apply_batch`](Self::apply_batch):
     /// repairs every source row the batch's deletions can touch in one
-    /// pass, on `G` minus the batch's `inserted` edges with nothing
-    /// masked.
+    /// pass, on `H` = `G` minus the batch's `inserted` edges (the
+    /// pre-batch graph minus `deleted`) with nothing masked.
+    ///
+    /// `H`'s connected components are labelled once per barrier, by one
+    /// `O(n + m)` BFS into [`BatchScratch::comps`]. A row's new entries
+    /// outside its own component are all unreachable, so
+    /// [`repair_row_kernel_batch`] walks only inside that component and
+    /// stamps the rest. On a tree every deletion cuts `H`, and every row
+    /// loses whole components this way; the single-edge path
+    /// ([`update_deletion`](Self::update_deletion)) and the scans still
+    /// walk a cut-off side.
     fn update_deletions_batch(&mut self, csr: &Csr, deleted: &[(V, V)], inserted: &[(V, V)]) {
         let n = self.n;
         debug_assert_eq!(csr.n(), n);
         self.stats.last_rows_blended = 0;
+        let BatchScratch {
+            csr: h,
+            at,
+            far,
+            gone,
+            comps,
+            ..
+        } = &mut self.batch;
         let csr = if inserted.is_empty() {
             csr
         } else {
-            let s = &mut self.batch;
-            s.csr
-                .refill_without(csr, inserted, &mut s.at, &mut s.far, &mut s.gone);
-            &s.csr
+            h.refill_without(csr, inserted, at, far, gone);
+            &*h
         };
         let mask: &[(V, V)] = &[];
         fill_mask_touch(&mut self.mask_touch, n, mask);
@@ -725,44 +773,56 @@ impl DynamicApsp {
 
         if candidates == 0 {
             self.stats.last_rows_repaired = 0;
+            self.stats.last_rows_walked = 0;
             self.stats.incremental += 1;
             return;
         }
+        comps.label(csr);
 
-        // Stage B: per-row batch repair, parallel when wide enough. The
-        // repaired-row count is the number of rows whose phase 1 found a
-        // non-empty affected set (the exact measure, unlike candidates).
+        // Stage B: per-row batch repair, parallel when wide enough. A row
+        // counts as repaired when its walk found an affected vertex or
+        // its stamp cut off a reachable one: exactly the rows that change
+        // (the exact measure, unlike candidates).
+        let comps = &*comps;
         let roots = &self.roots;
         let touch = &self.mask_touch;
         let ph = apsp_phase_hists();
-        let repair_one = |scratch: &mut RepairScratch, row: &mut [Dist]| {
-            repair_row_kernel_batch(scratch, csr, mask, touch, deleted, row, ph)
+        let repair_one = |scratch: &mut RepairScratch, s: usize, row: &mut [Dist]| {
+            repair_row_kernel_batch(scratch, csr, mask, touch, deleted, comps, s as V, row, ph)
         };
         let d = self.dm.data_mut();
-        let repaired = if n < PAR_REPAIR_MIN_N || candidates < PAR_REPAIR_MIN_ROWS {
+        let (walked, repaired) = if n < PAR_REPAIR_MIN_N || candidates < PAR_REPAIR_MIN_ROWS {
             with_repair_scratch(n, |scratch| {
-                let mut repaired = 0usize;
+                let (mut walked, mut repaired) = (0usize, 0usize);
                 for s in 0..n {
-                    if roots[s] != V::MAX && repair_one(scratch, &mut d[s * n..(s + 1) * n]) {
-                        repaired += 1;
+                    if roots[s] != V::MAX {
+                        let (w, changed) = repair_one(scratch, s, &mut d[s * n..(s + 1) * n]);
+                        walked += usize::from(w);
+                        repaired += usize::from(changed);
                     }
                 }
-                repaired
+                (walked, repaired)
             })
         } else {
+            let walked = AtomicUsize::new(0);
             let repaired = AtomicUsize::new(0);
             d.par_chunks_mut(n).enumerate().for_each(|(s, row)| {
                 if roots[s] != V::MAX {
-                    let changed = with_repair_scratch(n, |scratch| repair_one(scratch, row));
+                    let (w, changed) =
+                        with_repair_scratch(n, |scratch| repair_one(scratch, s, row));
+                    if w {
+                        walked.fetch_add(1, Ordering::Relaxed);
+                    }
                     if changed {
                         repaired.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             });
-            repaired.into_inner()
+            (walked.into_inner(), repaired.into_inner())
         };
         self.refresh_costs_marked(candidates);
         self.stats.last_rows_repaired = repaired;
+        self.stats.last_rows_walked = walked;
         self.stats.rows_repaired += repaired as u64;
         telemetry::counter!("apsp.rows_repaired").add(repaired as u64);
         self.stats.incremental += 1;
@@ -1329,42 +1389,69 @@ fn repair_row_kernel_single(
 
 /// Repair of one source row for a whole **batch** of deletions: the
 /// level-bucketed frontier walk batching its row reads through the kernel
-/// layer. Returns whether the row changed at all. `csr` must already lack
+/// layer, inside the source's own component of the deletion phase's
+/// graph `H`, then a stamp over every other component. Returns
+/// `(walked, changed)`: whether the walk found an affected vertex, and
+/// whether the row changed at all. `csr` is `H`: it must already lack
 /// every edge in `deleted`, and the batch's not-yet-blended insertions
 /// too: [`DynamicApsp::apply_batch`] walks `G` minus them with an empty
 /// `mask`, so every vertex takes [`probe_and_gather`]'s unfiltered path.
-/// Pinned to full BFS rebuilds by `tests/dynamic_apsp_props.rs`.
+/// `comps` labels `H`'s components. Pinned to full BFS rebuilds by
+/// `tests/dynamic_apsp_props.rs`.
 ///
-/// **Phase 1.** Far endpoints of tight deleted edges seed per-level
-/// buckets, processed in ascending level order (seeds sit at arbitrary
-/// levels, so a plain FIFO no longer suffices). With several deletions in
-/// flight the post-round graph keeps its cycles and alternate parents are
-/// common, so each candidate takes the early-exit tight-parent probe
-/// first; affected candidates then gather their still-unmarked masked
-/// neighbors once into the contiguous `idx` buffer, keep the segment
-/// (`queue_seg`) for phase 2, and push their level-below children from it
-/// instead of re-walking the CSR. `enqueued` marks dedupe bucket pushes.
+/// **Seeds.** Far endpoints of tight deleted edges inside `source`'s
+/// component seed per-level buckets, processed in ascending level order
+/// (seeds sit at arbitrary levels, so a plain FIFO no longer suffices).
+/// Every `H`-neighbor of a vertex lies in its component, so the walk
+/// never leaves the source's, and it still finds that component's whole
+/// affected set: an affected vertex either lost every parent to deleted
+/// edges (a seed) or keeps only affected parents in its own component.
+///
+/// **Phase 1.** With several deletions in flight the post-round graph
+/// keeps its cycles and alternate parents are common, so each candidate
+/// takes the early-exit tight-parent probe first; affected candidates
+/// then gather their still-unmarked masked neighbors once into the
+/// contiguous `idx` buffer, keep the segment (`queue_seg`) for phase 2,
+/// and push their level-below children from it instead of re-walking the
+/// CSR. `enqueued` marks dedupe bucket pushes.
 ///
 /// **Phase 2.** [`settle_affected_kernel`] — the batched boundary
 /// relaxation off the stored segments (one fused
-/// [`kernels::frontier_relax`] pass), then the shared settle.
+/// [`kernels::frontier_relax`] pass), then the shared settle. Every
+/// affected vertex is reachable inside the component, so all settle.
+///
+/// **Stamp.** The members of every other component are unreachable from
+/// `source` in `H`: the walker writes [`UNREACHABLE_D`] over them from
+/// [`Components::outside`]'s member lists, without a neighbor visit
+/// (both are empty when `H` is connected). The row changed iff the walk
+/// found an affected vertex or the stamp overwrote a finite entry, so
+/// `rows_repaired` counts exactly the rows whose entries change, as a
+/// walk of the cut-off vertices would; an entry that was already
+/// unreachable before the batch does not count. The single-edge walker
+/// ([`repair_row_kernel_single`]), which also serves the scans, has no
+/// stamp and still walks a cut-off side.
+#[allow(clippy::too_many_arguments)]
 fn repair_row_kernel_batch(
     scratch: &mut RepairScratch,
     csr: &Csr,
     mask: &[(V, V)],
     touch: &[bool],
     deleted: &[(V, V)],
+    comps: &Components,
+    source: V,
     row: &mut [Dist],
     ph: &PhaseHists,
-) -> bool {
+) -> (bool, bool) {
     let t0 = telemetry::stamp();
     scratch.begin();
     scratch.queue.clear();
     scratch.queue_seg.clear();
     scratch.idx.clear();
 
-    // Seed: the far endpoint of every tight deleted edge, bucketed at its
-    // own BFS level (deduplicated — edges may share a far endpoint).
+    // Seed: the far endpoint of every tight deleted edge in the source's
+    // component, bucketed at its own BFS level (deduplicated — edges may
+    // share a far endpoint).
+    let own = comps.of(source);
     let mut lvl = usize::MAX;
     let mut max_lvl = 0usize;
     for &(u, w) in deleted {
@@ -1375,17 +1462,13 @@ fn repair_row_kernel_batch(
         }
         debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
         let (far, far_lvl) = if dw > du { (w, dw) } else { (u, du) };
-        if scratch.enqueued[far as usize] == scratch.epoch {
-            continue;
+        if comps.of(far) != own || scratch.enqueued[far as usize] == scratch.epoch {
+            continue; // another component's (stamped below), or already seeded
         }
         scratch.enqueued[far as usize] = scratch.epoch;
         scratch.buckets[far_lvl as usize].push(far);
         lvl = lvl.min(far_lvl as usize);
         max_lvl = max_lvl.max(far_lvl as usize);
-    }
-    if lvl == usize::MAX {
-        ph.phase1.record_span(t0, telemetry::stamp());
-        return false;
     }
 
     // Phase 1: levels in ascending order; every level-(L−1) verdict is
@@ -1439,12 +1522,25 @@ fn repair_row_kernel_batch(
     }
     let t1 = telemetry::stamp();
     ph.phase1.record_span(t0, t1);
-    if scratch.queue.is_empty() {
-        return false;
+    let walked = !scratch.queue.is_empty();
+    if walked {
+        settle_affected_kernel(scratch, csr, mask, touch, row);
     }
-    settle_affected_kernel(scratch, csr, mask, touch, row);
-    ph.phase2.record_span(t1, telemetry::stamp());
-    true
+
+    // Stamp: every other component is unreachable from the source (none
+    // when `H` is connected).
+    let mut changed = walked;
+    for part in comps.outside(source) {
+        for &v in part {
+            let d = &mut row[v as usize];
+            changed |= *d != UNREACHABLE_D;
+            *d = UNREACHABLE_D;
+        }
+    }
+    if changed {
+        ph.phase2.record_span(t1, telemetry::stamp());
+    }
+    (walked, changed)
 }
 
 /// Fused probe + gather of one phase-1 candidate, shared by both
@@ -1583,8 +1679,9 @@ fn blend_row_cost(
 }
 
 /// Buffers [`DynamicApsp::apply_batch`] keeps across barriers: the
-/// deletion phase's CSR and the batched blend's endpoint plan, working
-/// rows, snapshots and compact endpoint rows.
+/// deletion phase's CSR and its component labels, and the batched
+/// blend's endpoint plan, working rows, snapshots and compact endpoint
+/// rows.
 #[derive(Debug, Clone)]
 struct BatchScratch {
     /// `G` minus the batch's insertions, the graph the deletion phase
@@ -1593,6 +1690,13 @@ struct BatchScratch {
     at: Vec<u32>,
     far: Vec<V>,
     gone: Vec<V>,
+    /// The connected components of the graph the deletion phase walks
+    /// (`csr` above, or the caller's snapshot when nothing is inserted),
+    /// labelled once per barrier that has repair candidates. The batch
+    /// walker seeds only inside a row's own component and stamps the
+    /// others unreachable; the single-edge path and the scans keep no
+    /// labels and still walk a cut-off side.
+    comps: Components,
     /// Endpoint slot of every vertex (`u32::MAX` = not an endpoint).
     slot: Vec<u32>,
     /// The batch's distinct endpoints, ordered by last read, latest first.
@@ -1623,6 +1727,7 @@ impl BatchScratch {
             at: Vec::new(),
             far: Vec::new(),
             gone: Vec::new(),
+            comps: Components::default(),
             slot: Vec::new(),
             ends: Vec::new(),
             pairs: Vec::new(),
@@ -1663,6 +1768,68 @@ impl BatchScratch {
                 .iter()
                 .map(|&(x, y)| (slot[x as usize], slot[y as usize])),
         );
+    }
+}
+
+/// Connected-component labels of a graph, each component's members
+/// listed contiguously so a row can stamp every other component without
+/// a neighbor visit.
+#[derive(Debug, Clone, Default)]
+struct Components {
+    /// Component of every vertex, numbered from 0 in the order of each
+    /// component's smallest vertex.
+    comp: Vec<u32>,
+    /// The vertices grouped by component, in BFS order: component `c` is
+    /// `members[at[c]..at[c + 1]]`.
+    members: Vec<V>,
+    at: Vec<u32>,
+}
+
+impl Components {
+    /// Labels `csr`'s components by one `O(n + m)` BFS; `members` is the
+    /// BFS queue, so each component comes out contiguous.
+    fn label(&mut self, csr: &Csr) {
+        let n = csr.n();
+        self.comp.clear();
+        self.comp.resize(n, u32::MAX);
+        self.members.clear();
+        self.at.clear();
+        self.at.push(0);
+        for r in 0..n as V {
+            if self.comp[r as usize] != u32::MAX {
+                continue;
+            }
+            let c = (self.at.len() - 1) as u32;
+            self.comp[r as usize] = c;
+            let mut head = self.members.len();
+            self.members.push(r);
+            while head < self.members.len() {
+                let t = self.members[head];
+                head += 1;
+                for &z in csr.neighbors(t) {
+                    if self.comp[z as usize] == u32::MAX {
+                        self.comp[z as usize] = c;
+                        self.members.push(z);
+                    }
+                }
+            }
+            self.at.push(self.members.len() as u32);
+        }
+    }
+
+    /// The component of `v`.
+    #[inline]
+    fn of(&self, v: V) -> u32 {
+        self.comp[v as usize]
+    }
+
+    /// Every vertex outside `v`'s component: the member runs before and
+    /// after it.
+    #[inline]
+    fn outside(&self, v: V) -> [&[V]; 2] {
+        let c = self.of(v) as usize;
+        let (lo, hi) = (self.at[c] as usize, self.at[c + 1] as usize);
+        [&self.members[..lo], &self.members[hi..]]
     }
 }
 

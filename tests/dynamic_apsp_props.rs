@@ -10,9 +10,10 @@
 //! single swaps also pin stage A's
 //! candidate count to the exact number of rows the deletion changes, and
 //! round batches are swept the same way through `apply_batch`, each
-//! barrier's repair, blend and candidate counters and row aggregates
-//! pinned to BFS builds as well — wide (`k = n/2`) and hub-shaped
-//! batches included.
+//! barrier's repair, walk, blend and candidate counters and row
+//! aggregates pinned to BFS builds as well — wide (`k = n/2`) and
+//! hub-shaped batches included, and batches that cut the graph: tree
+//! palindromes, a forest start and deletion-only swaps.
 //! Deterministic long-run tests keep the step counts above fixed floors
 //! regardless of proptest case budgets, and context-level properties pin
 //! `refresh_after` trajectories to fresh contexts under both objectives.
@@ -189,10 +190,13 @@ fn rows_differing(a: &DistanceMatrix, b: &DistanceMatrix) -> usize {
 /// pre-batch graph minus the deleted edges) and the post-batch `G`. The
 /// matrix must equal the build of `G`; the batch counters must count
 /// exactly the rows the deletion phase changed (`last_rows_repaired`),
-/// the rows the blend changed (`last_rows_blended`) and stage A's
-/// candidates — the rows where some deleted edge is tight, or for a
-/// one-swap batch the rows its deletion changes; every row aggregate
-/// must equal the fresh row's.
+/// the rows whose deletion repair walked (`last_rows_walked`: for a
+/// one-swap batch the repaired rows, for several deletions the rows with
+/// an entry that changes and stays finite — a component the batch cuts
+/// off is stamped, not walked), the rows the blend changed
+/// (`last_rows_blended`) and stage A's candidates — the rows where some
+/// deleted edge is tight, or for a one-swap batch the rows its deletion
+/// changes; every row aggregate must equal the fresh row's.
 fn apply_and_check_batch(da: &mut DynamicApsp, g: &mut Graph, moves: &[(V, V, V)], context: &str) {
     let before = DistanceMatrix::build(&g.to_csr());
     let batch: Vec<_> = moves
@@ -226,6 +230,23 @@ fn apply_and_check_batch(da: &mut DynamicApsp, g: &mut Graph, moves: &[(V, V, V)
         stats.last_rows_repaired,
         rows_differing(&before, &mid),
         "repaired rows != rows the deletions change ({context})"
+    );
+    let walked = match deleted.len() {
+        0 => 0,
+        1 => stats.last_rows_repaired,
+        _ => (0..before.n() as V)
+            .filter(|&s| {
+                before
+                    .row(s)
+                    .iter()
+                    .zip(mid.row(s))
+                    .any(|(&a, &b)| a != b && b != kernels::UNREACHABLE_D)
+            })
+            .count(),
+    };
+    assert_eq!(
+        stats.last_rows_walked, walked,
+        "walked rows != rows with an entry that changes and stays finite ({context})"
     );
     assert_eq!(
         stats.last_rows_blended,
@@ -299,6 +320,207 @@ fn hub_batch<R: Rng>(rng: &mut R, g: &Graph, h: V, k: usize) -> Vec<(V, V, V)> {
         batch.push((v, w, h));
     }
     batch
+}
+
+/// The vertices on `w`'s side of the bridge `vw` of the forest `g`.
+fn far_side(g: &Graph, v: V, w: V) -> Vec<V> {
+    let mut seen = vec![false; g.n()];
+    seen[v as usize] = true;
+    seen[w as usize] = true;
+    let mut side = vec![w];
+    let mut head = 0;
+    while head < side.len() {
+        let t = side[head];
+        head += 1;
+        for &z in g.neighbors(t) {
+            if !seen[z as usize] {
+                seen[z as usize] = true;
+                side.push(z);
+            }
+        }
+    }
+    side
+}
+
+/// Synthesizes one batch of up to `k` vertex-disjoint swaps on the forest
+/// `g` that keep every component connected: each moves a bridge `vw` to
+/// `vw2` with `w2` on `w`'s side, checked against the batch's earlier
+/// swaps, so the whole batch leaves the same components, each a tree
+/// again — the shape of a palindromic replay round on a tree.
+fn cut_batch<R: Rng>(rng: &mut R, g: &Graph, k: usize) -> Vec<(V, V, V)> {
+    let mut work = g.clone();
+    let mut used = vec![false; g.n()];
+    let mut batch = Vec::new();
+    for _ in 0..64 * k {
+        if batch.len() == k {
+            break;
+        }
+        let edges = work.edge_vec();
+        let e = edges[rng.gen_range(0..edges.len())];
+        let (v, w) = if rng.gen_bool(0.5) {
+            (e.u, e.v)
+        } else {
+            (e.v, e.u)
+        };
+        if used[v as usize] || used[w as usize] {
+            continue;
+        }
+        let free: Vec<V> = far_side(&work, v, w)
+            .into_iter()
+            .filter(|&x| x != w && !used[x as usize])
+            .collect();
+        if free.is_empty() {
+            continue;
+        }
+        let w2 = free[rng.gen_range(0..free.len())];
+        work.apply_swap(v, w, w2);
+        for x in [v, w, w2] {
+            used[x as usize] = true;
+        }
+        batch.push((v, w, w2));
+    }
+    batch
+}
+
+/// Synthesizes one batch of up to `k` swaps with pairwise-disjoint
+/// footprints, about half of them deletion-degenerate (`w2` already
+/// adjacent to `v`, so the record is `SwapApplied::Deleted`) — or all of
+/// them when `all_deletions`.
+fn mixed_batch<R: Rng>(rng: &mut R, g: &Graph, k: usize, all_deletions: bool) -> Vec<(V, V, V)> {
+    let edges = g.edge_vec();
+    let n = g.n() as V;
+    let mut touched: Vec<Edge> = Vec::new();
+    let mut batch = Vec::new();
+    for _ in 0..64 * k {
+        if batch.len() == k {
+            break;
+        }
+        let e = edges[rng.gen_range(0..edges.len())];
+        let (v, w) = if rng.gen_bool(0.5) {
+            (e.u, e.v)
+        } else {
+            (e.v, e.u)
+        };
+        let w2 = if all_deletions || rng.gen_bool(0.5) {
+            let others: Vec<V> = g.neighbors(v).iter().copied().filter(|&x| x != w).collect();
+            if others.is_empty() {
+                continue;
+            }
+            others[rng.gen_range(0..others.len())]
+        } else {
+            let w2 = rng.gen_range(0..n);
+            if w2 == v || w2 == w || g.has_edge(v, w2) {
+                continue;
+            }
+            w2
+        };
+        let fp = [Edge::new(v, w), Edge::new(v, w2)];
+        if fp.iter().any(|edge| touched.contains(edge)) {
+            continue;
+        }
+        touched.extend_from_slice(&fp);
+        batch.push((v, w, w2));
+    }
+    batch
+}
+
+/// Replays `rounds` [`cut_batch`] rounds of `k` swaps on the forest `g`,
+/// then their inverses in reverse order, through
+/// [`apply_and_check_batch`]. Every barrier must walk no row (no entry
+/// inside a component changes) and repair exactly `cut_rows` rows when
+/// given.
+fn replay_cut_palindrome<R: Rng>(
+    rng: &mut R,
+    g: &mut Graph,
+    rounds: usize,
+    k: usize,
+    cut_rows: Option<usize>,
+    family: &str,
+) {
+    let mut da = DynamicApsp::build(&g.to_csr());
+    let mut barrier = |g: &mut Graph, moves: &[(V, V, V)], context: String| {
+        apply_and_check_batch(&mut da, g, moves, &context);
+        let stats = da.stats();
+        assert_eq!(stats.last_rows_walked, 0, "a row walked ({context})");
+        if let Some(rows) = cut_rows {
+            assert_eq!(stats.last_rows_repaired, rows, "({context})");
+        }
+    };
+    let mut forward = Vec::new();
+    for round in 0..rounds {
+        let moves = cut_batch(rng, g, k);
+        assert_eq!(moves.len(), k, "{family} round {round} came up short");
+        barrier(g, &moves, format!("{family} round {round}"));
+        forward.push(moves);
+    }
+    for (round, moves) in forward.iter().enumerate().rev() {
+        let inverse: Vec<_> = moves.iter().map(|&(v, w, w2)| (v, w2, w)).collect();
+        barrier(g, &inverse, format!("{family} undo {round}"));
+    }
+}
+
+#[test]
+fn cut_batches_match_bfs() {
+    let mut rng = StdRng::seed_from_u64(0xC07_BA7C);
+
+    // (a) Palindromic replay on trees: every swap moves a bridge, so every
+    // row loses whole components at every barrier while nothing inside
+    // its own component changes — all n rows repair, none walks.
+    for n in [64usize, 256] {
+        let mut g = random_tree(&mut rng, n);
+        let g0 = g.clone();
+        replay_cut_palindrome(&mut rng, &mut g, 4, 16, Some(n), &format!("tree/{n}"));
+        assert_eq!(g, g0, "tree/{n}: the palindrome must return to its start");
+    }
+
+    // (b) A forest start: its rows already hold unreachable entries, which
+    // the stamp overwrites with the same sentinel and must not count as
+    // changed. Cut rounds first, then rounds that cut and close cycles.
+    let n = 96;
+    let mut g = random_tree(&mut rng, n);
+    for _ in 0..3 {
+        let e = g.edge_vec()[rng.gen_range(0..g.m())];
+        g.remove_edge(e.u, e.v);
+    }
+    replay_cut_palindrome(&mut rng, &mut g, 3, 12, None, "forest");
+    let mut da = DynamicApsp::build(&g.to_csr());
+    for round in 0..3 {
+        let moves = synth_batch(&mut rng, &g, 12);
+        apply_and_check_batch(&mut da, &mut g, &moves, &format!("forest synth {round}"));
+    }
+
+    // (c) Deletion-degenerate swaps (`w2` already adjacent) mixed with
+    // proper ones, and one all-deletion batch, whose deletion phase walks
+    // and labels the caller's CSR itself (nothing is inserted).
+    for (family, g0) in [
+        ("er", random_connected(&mut rng, 80, 40)),
+        ("tree", random_tree(&mut rng, 80)),
+    ] {
+        let mut g = g0;
+        let mut da = DynamicApsp::build(&g.to_csr());
+        for round in 0..3 {
+            let moves = mixed_batch(&mut rng, &g, 10, false);
+            assert!(
+                moves.len() >= 4,
+                "{family} mixed {round}: {} swaps",
+                moves.len()
+            );
+            apply_and_check_batch(&mut da, &mut g, &moves, &format!("{family} mixed {round}"));
+        }
+        let moves = mixed_batch(&mut rng, &g, 6, true);
+        assert!(
+            moves.len() >= 2,
+            "{family} deletions: {} swaps",
+            moves.len()
+        );
+        let m = g.m();
+        apply_and_check_batch(&mut da, &mut g, &moves, &format!("{family} deletions"));
+        assert_eq!(
+            g.m(),
+            m - moves.len(),
+            "{family}: every swap must delete only"
+        );
+    }
 }
 
 #[test]

@@ -65,6 +65,7 @@ fn assert_records_match(continued: &[RoundRecord], reference: &[RoundRecord], co
         r.phases = c.phases;
         r.repair.last_repair_candidates = c.repair.last_repair_candidates;
         r.repair.last_rows_repaired = c.repair.last_rows_repaired;
+        r.repair.last_rows_walked = c.repair.last_rows_walked;
         r.repair.last_rows_blended = c.repair.last_rows_blended;
         r.repair.last_batch_swaps = c.repair.last_batch_swaps;
         assert_eq!(*c, r, "record diverged at round {} ({context})", c.round);
