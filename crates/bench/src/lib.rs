@@ -289,14 +289,16 @@ mod perf_gate {
     };
 
     /// Replays `stream` the way [`replay_round_stream`] does and returns
-    /// the rows its barriers repaired in total, with every batched
-    /// barrier's `last_rows_walked` and whether its round-start graph was
-    /// a forest (empty for the sequential arm).
+    /// the rows its updates repaired in total, with every update's
+    /// `last_rows_walked` and whether the graph it started from was a
+    /// forest: one entry per barrier when `batched`, one per swap
+    /// otherwise.
     fn round_stream_repairs(
         g0: &Graph,
         stream: &[Vec<SwapMove>],
         batched: bool,
     ) -> (u64, Vec<(usize, bool)>) {
+        let is_forest = |g: &Graph| g.m() + connected_components(g).1 == g.n();
         let mut g = g0.clone();
         let mut ctx = EvalContext::new(&g);
         ctx.base();
@@ -304,15 +306,16 @@ mod perf_gate {
         let mut walked = Vec::new();
         for round in stream {
             if batched {
-                let (_, count) = connected_components(&g);
-                let forest = g.m() + count == g.n();
+                let forest = is_forest(&g);
                 let batch: Vec<_> = round.iter().map(|mv| mv.apply(&mut g)).collect();
                 ctx.refresh_after_batch(&g, &batch);
                 walked.push((ctx.dynamic_stats_snapshot().last_rows_walked, forest));
             } else {
                 for mv in round {
+                    let forest = is_forest(&g);
                     let rec = mv.apply(&mut g);
                     ctx.refresh_after(&g, &rec);
+                    walked.push((ctx.dynamic_stats_snapshot().last_rows_walked, forest));
                 }
             }
         }
@@ -389,32 +392,34 @@ mod perf_gate {
         );
         // The structural claim, in counters on the same stream. A barrier
         // repairs each row once however many of the round's deletions
-        // reach it, so the batched arm repairs fewer rows in total. And a
-        // barrier on a forest walks no row: every deletion there cuts a
-        // component off, which the batch stamps unreachable instead. The
-        // stream keeps a tree only through its first barrier (`w2` is
-        // drawn anywhere, so about half the swaps close a cycle), and the
-        // later barriers walk the rows those cycles reach.
-        let (sequential_rows, _) = round_stream_repairs(&g0, &stream, false);
+        // reach it, so the batched arm repairs fewer rows in total. And an
+        // update on a forest walks no row, batched or not: every deletion
+        // there cuts a component off, which each row stamps unreachable
+        // instead. The stream keeps a tree only through its first barrier
+        // (`w2` is drawn anywhere, so about half the swaps close a cycle),
+        // and the later updates walk the rows those cycles reach.
+        let (sequential_rows, swaps) = round_stream_repairs(&g0, &stream, false);
         let (batched_rows, barriers) = round_stream_repairs(&g0, &stream, true);
         assert!(
             batched_rows < sequential_rows,
             "batch repaired {batched_rows} rows vs {sequential_rows} sequentially"
         );
         assert!(barriers[0].1, "the stream must start on a tree");
-        for (i, &(walked, forest)) in barriers.iter().enumerate() {
-            assert!(
-                !forest || walked == 0,
-                "barrier {i} walked {walked} rows on a forest"
-            );
+        for (what, updates) in [("barrier", &barriers), ("swap", &swaps)] {
+            for (i, &(walked, forest)) in updates.iter().enumerate() {
+                assert!(
+                    !forest || walked == 0,
+                    "{what} {i} walked {walked} rows on a forest"
+                );
+            }
         }
-        // The measured advantage (~2.9× on `benches/rounds.rs`'s n = 2048
-        // tree stream since the batch stamps cut-off components, ~1.8×
-        // before) is thinner than the incremental gate's, so the arms are
-        // measured in *interleaved* best-of-5 pairs: a spurious failure
-        // would need noise to inflate every batched rep while sparing some
-        // adjacent sequential rep, rather than one bad scheduling window
-        // swallowing a whole arm.
+        // The measured advantage (~2.5× on `benches/rounds.rs`'s n = 2048
+        // tree stream since single swaps stamp cut-off components too,
+        // ~2.8× when only the batch did, ~1.8× before) is thinner than the
+        // incremental gate's, so the arms are measured in *interleaved*
+        // best-of-5 pairs: a spurious failure would need noise to inflate
+        // every batched rep while sparing some adjacent sequential rep,
+        // rather than one bad scheduling window swallowing a whole arm.
         let mut sequential = Duration::MAX;
         let mut batched = Duration::MAX;
         for _ in 0..5 {

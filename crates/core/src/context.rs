@@ -129,8 +129,9 @@ impl EvalContext {
 
     /// Re-snapshots `g` after a whole **round** of swaps, repairing the
     /// cached base matrix as one batch at the round barrier
-    /// ([`DynamicApsp::apply_batch`]): one multi-edge deletion pass with
-    /// every inserted edge masked, then the insertion blends in order.
+    /// ([`DynamicApsp::apply_batch`]): one multi-edge deletion pass on
+    /// `g` minus the round's insertions, then the insertion blends in
+    /// order.
     ///
     /// `g` must be the state after *all* of `batch` was applied, and the
     /// batch's moves must have pairwise edge-disjoint footprints relative
@@ -305,22 +306,6 @@ impl EvalContext {
             }
         }
         None
-    }
-
-    /// Every strictly improving swap in the graph (exhaustive audit),
-    /// in deterministic scan order.
-    pub fn all_improving_swaps<O: Objective>(&self) -> Vec<ScoredSwap> {
-        let base = self.base();
-        let mut out = Vec::new();
-        for (u, v) in self.csr.edge_vec() {
-            let scan = self.scan(u, v);
-            for agent in [u, v] {
-                let old = O::cost_of_row(base.row(agent));
-                out.extend(scan.all_improving::<O>(agent, old));
-            }
-            scan.recycle();
-        }
-        out
     }
 
     /// Sum of all *ordered* pairwise distances of the snapshot (the

@@ -27,11 +27,6 @@ pub fn find_improving_swap<O: Objective>(g: &Graph) -> Option<ScoredSwap> {
     EvalContext::new(g).find_improving_swap::<O>()
 }
 
-/// Collects **all** strictly improving swaps under `O` (exhaustive audit).
-pub fn all_improving_swaps<O: Objective>(g: &Graph) -> Vec<ScoredSwap> {
-    EvalContext::new(g).all_improving_swaps::<O>()
-}
-
 /// Whether no swap strictly improves any agent under `O`
 /// (*swap-stability* — the full sum-equilibrium condition, and half of the
 /// max-equilibrium condition).

@@ -138,31 +138,6 @@ impl EdgeSwapScan {
             self.edge.0
         }
     }
-
-    /// All strictly improving swaps for `agent` (used by exhaustive audits).
-    pub fn all_improving<O: Objective>(&self, agent: V, old_cost: u64) -> Vec<ScoredSwap> {
-        let other = self.other_endpoint(agent);
-        let n = self.masked.n() as V;
-        let mut out = Vec::new();
-        for w2 in 0..n {
-            if w2 == agent || w2 == other {
-                continue;
-            }
-            let new_cost = self.swap_cost::<O>(agent, w2);
-            if new_cost < old_cost {
-                out.push(ScoredSwap {
-                    mv: SwapMove {
-                        v: agent,
-                        w: other,
-                        w2,
-                    },
-                    old_cost,
-                    new_cost,
-                });
-            }
-        }
-        out
-    }
 }
 
 /// The one candidate loop behind every response: prices each replacement
@@ -304,25 +279,5 @@ mod tests {
         assert!(scan.best_improving::<SumObjective>(1, old).is_none());
         let oldm = agent_cost::<MaxObjective>(&g, 1);
         assert!(scan.best_improving::<MaxObjective>(1, oldm).is_none());
-    }
-
-    #[test]
-    fn all_improving_lists_every_witness() {
-        let g = classic::path(6);
-        let csr = g.to_csr();
-        let scan = EdgeSwapScan::new(&csr, 0, 1);
-        let old = agent_cost::<SumObjective>(&g, 0);
-        let all = scan.all_improving::<SumObjective>(0, old);
-        // Brute-force count.
-        let brute: Vec<V> = (0..6 as V)
-            .filter(|&w2| w2 != 0 && w2 != 1)
-            .filter(|&w2| brute_cost::<SumObjective>(&g, 0, 1, w2) < old)
-            .collect();
-        assert_eq!(
-            all.iter().map(|s| s.mv.w2).collect::<Vec<_>>(),
-            brute,
-            "witness sets must agree with brute force"
-        );
-        assert!(!all.is_empty());
     }
 }

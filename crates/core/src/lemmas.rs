@@ -9,31 +9,21 @@
 use bncg_graph::components::connected_components;
 use bncg_graph::{BfsScratch, DistanceMatrix, Graph, V};
 
+use crate::context::EvalContext;
+use crate::objective::SumObjective;
+use crate::rules::GameRules;
+
 /// **Lemma 6.** For a vertex `v` of local diameter 2, swapping an incident
 /// edge does not improve the sum of distances from `v`. Audited literally:
 /// returns `true` iff no swap by any ecc-2 vertex strictly improves its
 /// sum. (Holds unconditionally — not only in equilibrium — so the audit
-/// runs on arbitrary graphs.)
+/// runs on arbitrary graphs.) One [`EvalContext`] prices every swap by
+/// copy-plus-repair scans off its base matrix.
 pub fn lemma6_holds(g: &Graph) -> bool {
-    use crate::objective::Objective;
-    let csr = g.to_csr();
-    let dm = DistanceMatrix::build(&csr);
-    for v in 0..g.n() as V {
-        if dm.ecc(v) != Some(2) {
-            continue;
-        }
-        let old = <crate::objective::SumObjective as Objective>::cost_of_row(dm.row(v));
-        for &w in g.neighbors(v) {
-            let scan = crate::evaluator::EdgeSwapScan::new(&csr, v, w);
-            if scan
-                .best_improving::<crate::objective::SumObjective>(v, old)
-                .is_some()
-            {
-                return false;
-            }
-        }
-    }
-    true
+    let ctx = EvalContext::new(g);
+    (0..g.n() as V)
+        .filter(|&v| ctx.base().ecc(v) == Some(2))
+        .all(|v| SumObjective.best_response(&ctx, v).is_none())
 }
 
 /// **Lemma 7.** For a vertex `v` of local diameter 3, adding an edge `vw`

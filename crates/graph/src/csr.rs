@@ -75,64 +75,40 @@ impl Csr {
 
     /// Refills this CSR in place with `src` minus the `removed` edges
     /// (each an edge of `src`, none repeated), keeping every surviving
-    /// neighbor list in `src`'s order, in `O(n + m + k)` for `k` removed
-    /// edges. `at`, `far` and `gone` are caller-owned scratch: the removed
-    /// edges' far ends are grouped by near end (`at[v]..at[v + 1]` in
-    /// `far`), and while `v`'s list is copied `gone[z] == v` marks `vz`
-    /// as removed.
-    pub(crate) fn refill_without(
-        &mut self,
-        src: &Csr,
-        removed: &[(V, V)],
-        at: &mut Vec<u32>,
-        far: &mut Vec<V>,
-        gone: &mut Vec<V>,
-    ) {
-        let n = src.n();
-        at.clear();
-        at.resize(n + 1, 0);
-        for &(a, b) in removed {
-            at[a as usize + 1] += 1;
-            at[b as usize + 1] += 1;
-        }
-        for v in 0..n {
-            at[v + 1] += at[v];
-        }
-        // Fill with `at[v]` as v's cursor, then shift the cursors (each now
-        // at v's end, i.e. v + 1's start) back into start offsets.
-        far.clear();
-        far.resize(2 * removed.len(), 0);
+    /// neighbor list in `src`'s order. `cut` is caller-owned scratch: it
+    /// collects the `2k` removed slots of `targets` in ascending order, and
+    /// the runs between them are copied whole, each run of `offsets`
+    /// shifted down by the slots cut before it. `O(n + m)` copying plus
+    /// `O(k (d + log m))` for `k` removed edges at degree `d`.
+    ///
+    /// # Panics
+    /// Panics when a removed edge is not an edge of `src`.
+    pub(crate) fn refill_without(&mut self, src: &Csr, removed: &[(V, V)], cut: &mut Vec<u32>) {
+        cut.clear();
         for &(a, b) in removed {
             for (p, q) in [(a, b), (b, a)] {
-                far[at[p as usize] as usize] = q;
-                at[p as usize] += 1;
+                let at = src.neighbors(p).iter().position(|&z| z == q);
+                cut.push(src.offsets[p as usize] + at.expect("removed edge not in src") as u32);
             }
         }
-        for v in (1..=n).rev() {
-            at[v] = at[v - 1];
-        }
-        at[0] = 0;
-
-        gone.clear();
-        gone.resize(n, V::MAX);
+        cut.sort_unstable();
         self.offsets.clear();
         self.targets.clear();
-        self.offsets.push(0);
-        for v in 0..n {
-            let nbrs = src.neighbors(v as V);
-            let cut = &far[at[v] as usize..at[v + 1] as usize];
-            if cut.is_empty() {
-                self.targets.extend_from_slice(nbrs);
-            } else {
-                for &z in cut {
-                    gone[z as usize] = v as V;
-                }
-                self.targets
-                    .extend(nbrs.iter().copied().filter(|&z| gone[z as usize] != v as V));
-            }
-            self.offsets.push(self.targets.len() as u32);
+        let (mut v, mut from) = (0usize, 0usize);
+        for (shift, &slot) in (0u32..).zip(cut.iter()) {
+            // Vertices starting at or before `slot` lose only the earlier
+            // slots.
+            let end = v + src.offsets[v..].partition_point(|&o| o <= slot);
+            self.offsets
+                .extend(src.offsets[v..end].iter().map(|&o| o - shift));
+            self.targets
+                .extend_from_slice(&src.targets[from..slot as usize]);
+            (v, from) = (end, slot as usize + 1);
         }
-        debug_assert_eq!(self.targets.len(), src.targets.len() - 2 * removed.len());
+        let shift = cut.len() as u32;
+        self.offsets
+            .extend(src.offsets[v..].iter().map(|&o| o - shift));
+        self.targets.extend_from_slice(&src.targets[from..]);
     }
 
     /// Number of vertices.
@@ -247,11 +223,11 @@ mod tests {
             .collect();
         let want = Graph::from_edges(6, &kept).to_csr();
         let mut out = Csr::from_adjacency(&[]);
-        let (mut at, mut far, mut gone) = (Vec::new(), Vec::new(), Vec::new());
-        out.refill_without(&src, &removed, &mut at, &mut far, &mut gone);
+        let mut cut = Vec::new();
+        out.refill_without(&src, &removed, &mut cut);
         assert_eq!(out, want);
         // Buffers are reused: nothing removed gives the source back.
-        out.refill_without(&src, &[], &mut at, &mut far, &mut gone);
+        out.refill_without(&src, &[], &mut cut);
         assert_eq!(out, src);
     }
 

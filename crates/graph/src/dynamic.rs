@@ -21,27 +21,32 @@
 //!   d(s,y)+1+d(x,t))` (a shortest path uses a new edge at most once);
 //!   rows with `|d(s,x) − d(s,y)| ≤ 1` are provably unchanged and skipped
 //!   in `O(1)`.
-//! * **Swap** — deletion repair (with the inserted edge masked out of the
-//!   CSR scans) followed by the insertion blend, consuming the
-//!   [`SwapApplied`] record the game board already produces.
+//! * **Swap** — deletion repair followed by the insertion blend,
+//!   consuming the [`SwapApplied`] record the game board already produces.
 //! * **Batch** ([`DynamicApsp::apply_batch`]) — a whole activation round's
-//!   edge-disjoint swaps repaired at once: one multi-edge deletion pass
-//!   on `H` = `G` minus the round's insertions, a CSR built once per
-//!   barrier so no neighbor visit pays a mask filter. `H`'s connected
-//!   components are labelled once per barrier (one `O(n + m)` BFS, each
-//!   component's members listed contiguously). Each row seeds a
-//!   level-bucketed phase 1 from the far endpoints of the tight deleted
-//!   edges *inside its own component*, then stamps the unreachable
-//!   sentinel over the members of every other component instead of
-//!   walking them. On a tree every deletion is a bridge, so a tree
-//!   barrier stamps what it cuts off and walks nothing; the single-edge
-//!   and scan paths still walk a cut-off side. The deletion pass is
-//!   followed by the round's insertions applied as a **fused k-term
-//!   blend** — one vectorized pass per row over `2k` saturating min terms
+//!   edge-disjoint swaps repaired at once: one multi-edge deletion pass,
+//!   then the round's insertions applied as a **fused k-term blend** — one
+//!   vectorized pass per row over `2k` saturating min terms
 //!   ([`kernels::fused_blend_cost`]) instead of `k` separate passes over
 //!   the matrix, with each row's blend constants evolved on compact
 //!   endpoint rows. Rows touched by several deletions are repaired once
 //!   instead of once per deletion.
+//!
+//! Every deletion pass — one edge or a whole round's — runs one stage A
+//! and one row walker on `H`, a plain [`Csr`] that already lacks the
+//! deleted edges and the not-yet-blended insertions (copied out of the
+//! caller's snapshot once per update in `O(n + m + k)`), so no neighbor
+//! visit pays a mask filter. With one deleted edge stage A keeps the
+//! exact alternate-parent filter; with several it stops at tightness (an
+//! alternate parent may itself be affected by another deletion) and the
+//! walk renders the verdict. `H`'s connected components are labelled once
+//! per update (one `O(n + m)` BFS, each component's members listed
+//! contiguously). Each row seeds a level-bucketed phase 1 from the far
+//! endpoints of the tight deleted edges *inside its own component*, then
+//! stamps the unreachable sentinel over the members of every other
+//! component instead of walking them. On a tree every deletion is a
+//! bridge, so a tree swap or barrier stamps what it cuts off and walks
+//! nothing.
 //!
 //! Alongside the matrix, the subsystem maintains **per-vertex cost
 //! aggregates** (each row's sum and eccentricity, [`RowCost`]): deletion
@@ -58,9 +63,11 @@
 //! maintained base matrix (pooled parallel copy + truncated repairs),
 //! which is what lets `EdgeSwapScan` in `bncg_core` skip its `n` masked
 //! BFS runs per scanned edge, and [`masked_rows_from_base`] derives only
-//! a listed subset of those rows, for pricings that read a few.
+//! a listed subset of those rows, for pricings that read a few. Both copy
+//! `G − e` into a pooled CSR and run the same stage A and walker without
+//! component labels, so a scan still walks a side its edge cuts off.
 //!
-//! The deletion-repair walkers are *kernelized*: each candidate's
+//! The deletion-repair walker is *kernelized*: each candidate's
 //! neighborhood is walked once and gathered into contiguous scratch
 //! buffers, and the reductions — stage A's alternate-parent test
 //! ([`kernels::gather_min_plus`]) and phase 2's boundary relaxation
@@ -82,8 +89,8 @@
 //! a tree cuts every row: a 16-swap barrier at n = 2048 (vertex-disjoint,
 //! connectivity-keeping swaps on a random tree, 24 barriers, 2 runs) took
 //! a median 90–92 ms, about twice a full build (38–55 ms), while each row
-//! walked the components the round cut off, and 23–24 ms since the batch
-//! stamps them (2-core x86-64). Repair stays the only path
+//! walked the components the round cut off, and 23–24 ms since the
+//! deletion pass stamps them (2-core x86-64). Repair stays the only path
 //! all the same: the round records' `rows_repaired` and `rows_blended`
 //! are the repair's own verdicts, so a rebuild that kept them would need
 //! two full builds per barrier (`G` minus the insertions, and `G`) and a
@@ -98,7 +105,6 @@
 //! thousands of random swap steps.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use bncg_telemetry as telemetry;
@@ -121,10 +127,13 @@ thread_local! {
     /// as the BFS scratch pool: rayon workers each get their own pool, so
     /// parallel repairs compose without locking).
     static REPAIR_POOL: RefCell<Vec<RepairScratch>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread free list of the scans' `G − e` copies, each with its
+    /// [`Csr::refill_without`] scratch.
+    static CSR_POOL: RefCell<Vec<(Csr, Vec<u32>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Largest number of repair-scratch buffers kept per thread.
-const REPAIR_POOL_CAP: usize = 4;
+/// Largest number of buffers kept per thread in each pool.
+const POOL_CAP: usize = 4;
 
 /// Runs `f` with a pooled [`RepairScratch`] sized for `n` vertices.
 fn with_repair_scratch<R>(n: usize, f: impl FnOnce(&mut RepairScratch) -> R) -> R {
@@ -135,8 +144,26 @@ fn with_repair_scratch<R>(n: usize, f: impl FnOnce(&mut RepairScratch) -> R) -> 
     let result = f(&mut scratch);
     REPAIR_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
-        if pool.len() < REPAIR_POOL_CAP {
+        if pool.len() < POOL_CAP {
             pool.push(scratch);
+        }
+    });
+    result
+}
+
+/// Runs `f` on `csr` minus `edge`, copied into a pooled buffer. The
+/// buffer is popped, not borrowed, while `f` runs: a thread waiting
+/// inside a parallel section runs other queued jobs, which may scan too.
+fn with_csr_without<R>(csr: &Csr, edge: (V, V), f: impl FnOnce(&Csr) -> R) -> R {
+    let (mut h, mut cut) = CSR_POOL
+        .with(|pool| pool.borrow_mut().pop())
+        .unwrap_or_else(|| (Csr::from_adjacency(&[]), Vec::new()));
+    h.refill_without(csr, &[edge], &mut cut);
+    let result = f(&h);
+    CSR_POOL.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        if pool.len() < POOL_CAP {
+            pool.push((h, cut));
         }
     });
     result
@@ -174,11 +201,10 @@ pub struct RepairStats {
     /// batch update).
     pub last_rows_repaired: usize,
     /// Rows of the most recent update whose deletion repair walked an
-    /// affected set (phases 1–2). Equal to `last_rows_repaired` on a
-    /// single-edge update, whose walker also walks a cut-off side; a
-    /// batch leaves out the rows whose only change is a component the
-    /// batch cut off, which it stamps unreachable without walking. `0`
-    /// when nothing was deleted.
+    /// affected set (phases 1–2): the rows with an entry that changes and
+    /// stays finite. A row whose only change is a component the update
+    /// cut off is stamped unreachable without a walk, so a deletion on a
+    /// forest walks no row. `0` when nothing was deleted.
     pub last_rows_walked: usize,
     /// Rows blended in the most recent update (summed over a batch's
     /// insertions for a batch update).
@@ -221,8 +247,8 @@ impl RepairStats {
 //   apsp.stage_a_ns / apsp.phase1_ns / apsp.phase2_ns / apsp.blend_ns
 //                      — duration histograms of the maintained matrix's
 //                        repair phases (stage A per update, phases 1/2
-//                        per repaired row — phase 2 with a batch row's
-//                        stamp of cut-off components — blend per update).
+//                        per repaired row — phase 2 with the row's stamp
+//                        of cut-off components — blend per update).
 //   apsp.rows_repaired / apsp.rows_blended — counters.
 //   scan.copy_ns / scan.stage_a_ns / scan.phase1_ns / scan.phase2_ns /
 //   scan.rows_repaired — the same breakdown for `masked_apsp_from_base`
@@ -269,8 +295,8 @@ pub struct RepairPhases {
     pub stage_a_ns: u64,
     /// Phase-1 affected-set walks, summed over repaired rows.
     pub phase1_ns: u64,
-    /// Phase-2 boundary settles, and a batch row's stamp of the
-    /// components the batch cut off, summed over repaired rows.
+    /// Phase-2 boundary settles, and each row's stamp of the components
+    /// the update cut off, summed over repaired rows.
     pub phase2_ns: u64,
     /// Insertion blend passes.
     pub blend_ns: u64,
@@ -313,15 +339,13 @@ pub struct DynamicApsp {
     dm: DistanceMatrix,
     n: usize,
     stats: RepairStats,
-    /// Per-source repair root from stage A (`V::MAX` = row unchanged).
-    roots: Vec<V>,
+    /// Rows stage A marked as repair candidates in the current update.
+    marked: Vec<bool>,
     /// Saved pre-insertion rows of the inserted edge's endpoints.
     row_x: Vec<Dist>,
     row_y: Vec<Dist>,
-    /// Endpoint-incidence table of the current update's mask (reused
-    /// buffer; see [`fill_mask_touch`]).
-    mask_touch: Vec<bool>,
-    /// Buffers [`apply_batch`](Self::apply_batch) reuses across barriers.
+    /// Buffers the updates reuse: the deletion pass's CSR and component
+    /// labels, and the batched blend's plan.
     batch: BatchScratch,
     /// Maintained per-source row aggregates (sum + eccentricity), exact
     /// for the matrix at all times: deletion repairs re-reduce exactly the
@@ -358,10 +382,9 @@ impl DynamicApsp {
             dm,
             n,
             stats: RepairStats::default(),
-            roots: Vec::new(),
+            marked: Vec::new(),
             row_x: Vec::new(),
             row_y: Vec::new(),
-            mask_touch: Vec::new(),
             batch: BatchScratch::new(),
             costs: vec![RowCost::default(); n],
         };
@@ -487,15 +510,15 @@ impl DynamicApsp {
     }
 
     /// Re-reduces the aggregates of exactly the rows stage A marked as
-    /// repair candidates (`roots[s] != V::MAX`) — the `O(repaired rows)`
-    /// post-pass of a deletion update.
+    /// repair candidates — the `O(repaired rows)` post-pass of a deletion
+    /// update.
     fn refresh_costs_marked(&mut self, candidates: usize) {
         let n = self.n;
         let dm = &self.dm;
-        let roots = &self.roots;
+        let marked = &self.marked;
         if n < PAR_REPAIR_MIN_N || candidates < PAR_REPAIR_MIN_ROWS {
             for (s, slot) in self.costs.iter_mut().enumerate() {
-                if roots[s] != V::MAX {
+                if marked[s] {
                     *slot = kernels::row_cost(dm.row(s as V));
                 }
             }
@@ -504,7 +527,7 @@ impl DynamicApsp {
                 .par_chunks_mut(1)
                 .enumerate()
                 .for_each(|(s, slot)| {
-                    if roots[s] != V::MAX {
+                    if marked[s] {
                         slot[0] = kernels::row_cost(dm.row(s as V));
                     }
                 });
@@ -533,14 +556,11 @@ impl DynamicApsp {
     pub fn apply_swap(&mut self, csr: &Csr, applied: &SwapApplied) {
         match *applied {
             SwapApplied::Noop => {}
-            SwapApplied::Deleted { v, w } => {
-                self.update_deletion(csr, v, w, &[]);
-            }
+            SwapApplied::Deleted { v, w } => self.update_deletions(csr, &[(v, w)], &[]),
             SwapApplied::Swapped { v, w, w2 } => {
-                // Deletion repair runs on `G − vw` — the inserted edge is
-                // masked out of every adjacency scan — then the blend adds
-                // it back analytically.
-                self.update_deletion(csr, v, w, &[(v, w2)]);
+                // Deletion repair runs on `G − vw`, `csr` without the
+                // inserted edge; then the blend adds it back analytically.
+                self.update_deletions(csr, &[(v, w)], &[(v, w2)]);
                 self.update_insertion(v, w2);
             }
         }
@@ -565,9 +585,9 @@ impl DynamicApsp {
     /// from the tight deleted edges there, and stamps every other
     /// component unreachable from the component's member list. A round
     /// that cuts the graph — every round on a tree — thus pays one write
-    /// per cut-off entry instead of a walk of it; the single-edge path
-    /// ([`apply_swap`](Self::apply_swap)) and the scans still walk a
-    /// cut-off side.
+    /// per cut-off entry instead of a walk of it. A single swap
+    /// ([`apply_swap`](Self::apply_swap)) takes the same pass with one
+    /// deleted edge.
     ///
     /// The batch must have pairwise edge-disjoint footprints relative to
     /// the round-start graph: deleted edges distinct and all present
@@ -584,8 +604,8 @@ impl DynamicApsp {
     /// batch's *tight-row* count (rows where some deleted edge lay on a
     /// shortest path): with several deletions in flight the per-edge
     /// alternate-parent filter no longer proves a row unchanged on its
-    /// own, so the count is a slightly coarser upper bound than the
-    /// single-swap path's.
+    /// own, so the count is a slightly coarser upper bound than a single
+    /// deletion's, which keeps that filter.
     ///
     /// # Examples
     /// ```
@@ -629,14 +649,7 @@ impl DynamicApsp {
             self.stats.updates += 1;
             return;
         }
-        if deleted.len() == 1 {
-            // A one-swap round is exactly a single update; reuse the
-            // finer-filtered single-edge path (including its stats).
-            let (u, w) = deleted[0];
-            self.update_deletion(csr, u, w, &inserted);
-        } else {
-            self.update_deletions_batch(csr, &deleted, &inserted);
-        }
+        self.update_deletions(csr, &deleted, &inserted);
         match inserted.len() {
             0 => {}
             1 => self.update_insertion(inserted[0].0, inserted[0].1),
@@ -648,7 +661,7 @@ impl DynamicApsp {
     /// Applies a single edge deletion. `csr` must already lack edge `uw`;
     /// the matrix must be the exact APSP of `csr + uw`.
     pub fn apply_deletion(&mut self, csr: &Csr, u: V, w: V) {
-        self.update_deletion(csr, u, w, &[]);
+        self.update_deletions(csr, &[(u, w)], &[]);
         self.stats.updates += 1;
     }
 
@@ -665,108 +678,39 @@ impl DynamicApsp {
         self.stats.updates += 1;
     }
 
-    /// Deletion repair driver: stage A marks the rows that can change,
-    /// stage B repairs them on `csr` with the `mask` edges hidden.
-    fn update_deletion(&mut self, csr: &Csr, u: V, w: V, mask: &[(V, V)]) {
-        let n = self.n;
-        debug_assert_eq!(csr.n(), n);
-        self.stats.last_rows_blended = 0;
-        fill_mask_touch(&mut self.mask_touch, n, mask);
-
-        // Stage A: find the rows that can change at all. Tightness reads
-        // the contiguous rows of u and w (d(s,u) = d(u,s) by symmetry);
-        // the alternate-parent filter then touches only tight rows.
-        let t0 = telemetry::stamp();
-        let candidates =
-            collect_repair_roots(csr, mask, &self.mask_touch, &self.dm, u, w, &mut self.roots);
-        telemetry::histogram!("apsp.stage_a_ns").record_span(t0, telemetry::stamp());
-        self.stats.last_repair_candidates = candidates;
-
-        if candidates == 0 {
-            self.stats.last_rows_repaired = 0;
-            self.stats.last_rows_walked = 0;
-            self.stats.incremental += 1;
-            return;
-        }
-
-        // Stage B: truncated per-row repair, parallel when wide enough,
-        // then an aggregate re-reduce over exactly the repaired rows.
-        // Every marked row walks, a cut-off side included.
-        repair_marked_rows(
-            csr,
-            mask,
-            &self.mask_touch,
-            &self.roots,
-            self.dm.data_mut(),
-            n,
-            candidates,
-            apsp_phase_hists(),
-        );
-        self.refresh_costs_marked(candidates);
-        self.stats.last_rows_repaired = candidates;
-        self.stats.last_rows_walked = candidates;
-        self.stats.rows_repaired += candidates as u64;
-        telemetry::counter!("apsp.rows_repaired").add(candidates as u64);
-        self.stats.incremental += 1;
-    }
-
-    /// Multi-deletion repair driver for [`apply_batch`](Self::apply_batch):
-    /// repairs every source row the batch's deletions can touch in one
-    /// pass, on `H` = `G` minus the batch's `inserted` edges (the
-    /// pre-batch graph minus `deleted`) with nothing masked.
+    /// The deletion repair of every update: repairs every source row the
+    /// `deleted` edges can touch in one pass, on `H` = `csr` minus the
+    /// not-yet-blended `inserted` edges (the pre-update graph minus
+    /// `deleted`), a plain CSR with nothing masked.
     ///
-    /// `H`'s connected components are labelled once per barrier, by one
-    /// `O(n + m)` BFS into [`BatchScratch::comps`]. A row's new entries
-    /// outside its own component are all unreachable, so
-    /// [`repair_row_kernel_batch`] walks only inside that component and
-    /// stamps the rest. On a tree every deletion cuts `H`, and every row
-    /// loses whole components this way; the single-edge path
-    /// ([`update_deletion`](Self::update_deletion)) and the scans still
-    /// walk a cut-off side.
-    fn update_deletions_batch(&mut self, csr: &Csr, deleted: &[(V, V)], inserted: &[(V, V)]) {
+    /// Stage A marks the rows that can change; `H`'s connected components
+    /// are then labelled once, by one `O(n + m)` BFS into
+    /// [`BatchScratch::comps`]. A row's new entries outside its own
+    /// component are all unreachable, so [`repair_row`] walks only inside
+    /// that component and stamps the rest. On a tree every deletion cuts
+    /// `H`, and every row loses whole components this way.
+    fn update_deletions(&mut self, csr: &Csr, deleted: &[(V, V)], inserted: &[(V, V)]) {
         let n = self.n;
         debug_assert_eq!(csr.n(), n);
         self.stats.last_rows_blended = 0;
         let BatchScratch {
-            csr: h,
-            at,
-            far,
-            gone,
-            comps,
-            ..
+            csr: h, cut, comps, ..
         } = &mut self.batch;
         let csr = if inserted.is_empty() {
             csr
         } else {
-            h.refill_without(csr, inserted, at, far, gone);
+            h.refill_without(csr, inserted, cut);
             &*h
         };
-        let mask: &[(V, V)] = &[];
-        fill_mask_touch(&mut self.mask_touch, n, mask);
 
-        // Stage A (coarse): a row can change only if some deleted edge was
-        // tight from it. With several deletions the alternate-parent
-        // filter is no longer sound per edge (the alternate parent may
-        // itself be affected by another deletion), so candidacy stops at
-        // tightness and the per-row phase 1 renders the exact verdict.
+        // Stage A. One deleted edge keeps the exact alternate-parent
+        // filter. With several the filter is no longer sound per edge (the
+        // alternate parent may itself be affected by another deletion), so
+        // candidacy stops at tightness and the walk renders the verdict.
         let t0 = telemetry::stamp();
-        let candidates = {
-            let dm = &self.dm;
-            let roots = &mut self.roots;
-            roots.clear();
-            roots.resize(n, V::MAX);
-            let mut count = 0usize;
-            for &(u, w) in deleted {
-                let ru = dm.row(u);
-                let rw = dm.row(w);
-                for s in 0..n {
-                    if ru[s] != rw[s] && roots[s] == V::MAX {
-                        roots[s] = 0; // marks candidacy; the batch repair reseeds per row
-                        count += 1;
-                    }
-                }
-            }
-            count
+        let candidates = match *deleted {
+            [(u, w)] => mark_rows(csr, &self.dm, (u, w), &mut self.marked),
+            _ => mark_tight_rows(&self.dm, deleted, &mut self.marked),
         };
         telemetry::histogram!("apsp.stage_a_ns").record_span(t0, telemetry::stamp());
         self.stats.last_repair_candidates = candidates;
@@ -779,47 +723,17 @@ impl DynamicApsp {
         }
         comps.label(csr);
 
-        // Stage B: per-row batch repair, parallel when wide enough. A row
-        // counts as repaired when its walk found an affected vertex or
-        // its stamp cut off a reachable one: exactly the rows that change
-        // (the exact measure, unlike candidates).
-        let comps = &*comps;
-        let roots = &self.roots;
-        let touch = &self.mask_touch;
-        let ph = apsp_phase_hists();
-        let repair_one = |scratch: &mut RepairScratch, s: usize, row: &mut [Dist]| {
-            repair_row_kernel_batch(scratch, csr, mask, touch, deleted, comps, s as V, row, ph)
-        };
-        let d = self.dm.data_mut();
-        let (walked, repaired) = if n < PAR_REPAIR_MIN_N || candidates < PAR_REPAIR_MIN_ROWS {
-            with_repair_scratch(n, |scratch| {
-                let (mut walked, mut repaired) = (0usize, 0usize);
-                for s in 0..n {
-                    if roots[s] != V::MAX {
-                        let (w, changed) = repair_one(scratch, s, &mut d[s * n..(s + 1) * n]);
-                        walked += usize::from(w);
-                        repaired += usize::from(changed);
-                    }
-                }
-                (walked, repaired)
-            })
-        } else {
-            let walked = AtomicUsize::new(0);
-            let repaired = AtomicUsize::new(0);
-            d.par_chunks_mut(n).enumerate().for_each(|(s, row)| {
-                if roots[s] != V::MAX {
-                    let (w, changed) =
-                        with_repair_scratch(n, |scratch| repair_one(scratch, s, row));
-                    if w {
-                        walked.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if changed {
-                        repaired.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-            (walked.into_inner(), repaired.into_inner())
-        };
+        // Stage B: truncated per-row repair, then an aggregate re-reduce
+        // over exactly the marked rows.
+        let (walked, repaired) = repair_rows(
+            csr,
+            deleted,
+            Some(comps),
+            &self.marked,
+            self.dm.data_mut(),
+            candidates,
+            apsp_phase_hists(),
+        );
         self.refresh_costs_marked(candidates);
         self.stats.last_rows_repaired = repaired;
         self.stats.last_rows_walked = walked;
@@ -997,10 +911,11 @@ impl DynamicApsp {
 
 /// All-pairs shortest paths of `G − edge` derived from the maintained (or
 /// any exact) base matrix of `G` by **copy plus repair**: clone the base
-/// into a pooled buffer (parallel row copy), then run the same stage-A
-/// filters and truncated per-row deletion repairs [`DynamicApsp`] uses —
-/// with `edge` masked out of every CSR scan, since `csr` (the snapshot of
-/// `G` itself, *with* the edge) is scanned directly.
+/// into a pooled buffer (parallel row copy), copy `G − edge` out of `csr`
+/// (the snapshot of `G` itself, *with* the edge) into a pooled CSR, then
+/// run the same stage A and row walker [`DynamicApsp`] uses on that copy.
+/// The walker gets no component labels, so a row still walks a side the
+/// edge cuts off.
 ///
 /// This replaces the `n` fresh masked BFS runs of
 /// [`DistanceMatrix::build_masked`] in the swap evaluator's hot loop: rows
@@ -1021,45 +936,30 @@ pub fn masked_apsp_from_base(csr: &Csr, base: &DistanceMatrix, edge: (V, V)) -> 
     );
     let t0 = telemetry::stamp();
     let mut dm = base.clone_pooled();
-    let t1 = telemetry::stamp();
-    telemetry::histogram!("scan.copy_ns").record_span(t0, t1);
-    let (u, w) = edge;
-    let mask = [edge];
-    let mut touch_buf = Vec::new();
-    fill_mask_touch(&mut touch_buf, n, &mask);
-    let touch = &touch_buf;
-
-    // The exact stage-A filters + stage-B dispatch of the maintained
-    // matrix's deletion update, shared so the scan path can never diverge.
-    let mut roots: Vec<V> = Vec::new();
-    let candidates = collect_repair_roots(csr, &mask, touch, base, u, w, &mut roots);
-    telemetry::histogram!("scan.stage_a_ns").record_span(t1, telemetry::stamp());
-    if candidates == 0 {
-        return dm;
-    }
-    telemetry::counter!("scan.rows_repaired").add(candidates as u64);
-    repair_marked_rows(
-        csr,
-        &mask,
-        touch,
-        &roots,
-        dm.data_mut(),
-        n,
-        candidates,
-        scan_phase_hists(),
-    );
+    with_csr_without(csr, edge, |h| {
+        let t1 = telemetry::stamp();
+        telemetry::histogram!("scan.copy_ns").record_span(t0, t1);
+        let mut marked = Vec::new();
+        let candidates = mark_rows(h, base, edge, &mut marked);
+        telemetry::histogram!("scan.stage_a_ns").record_span(t1, telemetry::stamp());
+        if candidates > 0 {
+            telemetry::counter!("scan.rows_repaired").add(candidates as u64);
+            let d = dm.data_mut();
+            repair_rows(h, &[edge], None, &marked, d, candidates, scan_phase_hists());
+        }
+    });
     dm
 }
 
 /// Rows of `G − edge` for the listed `sources` only, concatenated in list
 /// order (`sources.len() · n` entries), derived from the base matrix of
-/// `G` by the same per-source stage-A test and single-deletion walker as
+/// `G` by the same per-source stage-A test and row walker as
 /// [`masked_apsp_from_base`]: each listed row is copied from the base and
 /// repaired only when the test marks it. Byte-identical to the listed
 /// rows of [`DistanceMatrix::build_masked`] (pinned by
 /// `tests/round_dynamics_props.rs`). A pricing that reads a handful of
 /// rows — the interest game's, `|I(v)|` per scanned edge — pays for those
-/// rows instead of an `n × n` copy.
+/// rows and an `O(n + m)` copy of `G − edge` instead of an `n × n` copy.
 ///
 /// # Panics
 /// Debug-panics when `edge` is not an edge of `csr` or the matrix shape
@@ -1077,201 +977,161 @@ pub fn masked_rows_from_base(
         "masked_rows_from_base requires an existing edge"
     );
     let mut rows = Vec::with_capacity(sources.len() * n);
-    let (u, w) = edge;
-    let mask = [edge];
-    let mut touch = Vec::new();
-    fill_mask_touch(&mut touch, n, &mask);
-    let test = StageA::new(csr, &mask, &touch, u, w);
     let mut repaired = 0u64;
-    with_repair_scratch(n, |scratch| {
-        for &s in sources {
-            let src = base.row(s);
-            let at = rows.len();
-            rows.extend_from_slice(src);
-            if let Some(far) = test.root(src, src[u as usize], src[w as usize]) {
-                let row = &mut rows[at..];
-                repair_row_kernel_single(scratch, csr, &mask, &touch, row, far, scan_phase_hists());
-                repaired += 1;
+    with_csr_without(csr, edge, |h| {
+        let test = StageA::new(h, edge);
+        with_repair_scratch(n, |scratch| {
+            for &s in sources {
+                let src = base.row(s);
+                let at = rows.len();
+                rows.extend_from_slice(src);
+                if test.marks(src, src[edge.0 as usize], src[edge.1 as usize]) {
+                    let row = &mut rows[at..];
+                    repair_row(scratch, h, &[edge], None, s, row, scan_phase_hists());
+                    repaired += 1;
+                }
             }
-        }
+        });
     });
     telemetry::counter!("scan.rows_repaired").add(repaired);
     rows
 }
 
-/// Stage A's per-source test for deleting edge `uw`, shared by
-/// [`collect_repair_roots`] and [`masked_rows_from_base`]. Both
-/// endpoints' mask-filtered neighbor lists are collected **once** and
-/// reused across every source tested.
-struct StageA {
-    u: V,
-    w: V,
-    nbrs_u: Vec<V>,
-    nbrs_w: Vec<V>,
+/// Stage A's exact per-source test for deleting the one edge `uw`, on a
+/// CSR that already lacks it.
+struct StageA<'a> {
+    nbrs_u: &'a [V],
+    nbrs_w: &'a [V],
 }
 
-impl StageA {
-    fn new(csr: &Csr, mask: &[(V, V)], touch: &[bool], u: V, w: V) -> Self {
+impl<'a> StageA<'a> {
+    fn new(csr: &'a Csr, (u, w): (V, V)) -> Self {
         StageA {
-            u,
-            w,
-            nbrs_u: masked_neighbors(csr, u, mask, touch).collect(),
-            nbrs_w: masked_neighbors(csr, w, mask, touch).collect(),
+            nbrs_u: csr.neighbors(u),
+            nbrs_w: csr.neighbors(w),
         }
     }
 
-    /// The repair root of source `s` — the far endpoint, the one on the
-    /// deeper level — or `None` when the row is provably unchanged.
-    /// `row` is `s`'s pre-deletion row, and `du`, `dw` its levels of the
-    /// two endpoints (`d(s,u) = d(u,s)`, so callers may read them from
-    /// whichever row is contiguous).
+    /// Whether deleting the edge changes source `s`'s row. `row` is `s`'s
+    /// pre-deletion row, and `du`, `dw` its levels of the two endpoints
+    /// (`d(s,u) = d(u,s)`, so callers may read them from whichever row is
+    /// contiguous).
     ///
-    /// A row is marked exactly when the far endpoint loses its last
-    /// parent, which is exactly when the row changes. The
-    /// alternate-parent probe runs as a [`kernels::gather_min_plus`]
-    /// reduction over the far endpoint's neighbor list (an alternate
-    /// parent exists from `s` iff the gathered minimum plus one equals
-    /// the far endpoint's level).
+    /// A row is marked exactly when the far endpoint — the one on the
+    /// deeper level — loses its last parent, which is exactly when the row
+    /// changes. The alternate-parent probe runs as a
+    /// [`kernels::gather_min_plus`] reduction over the far endpoint's
+    /// neighbor list (an alternate parent exists from `s` iff the gathered
+    /// minimum plus one equals the far endpoint's level).
     #[inline]
-    fn root(&self, row: &[Dist], du: Dist, dw: Dist) -> Option<V> {
+    fn marks(&self, row: &[Dist], du: Dist, dw: Dist) -> bool {
         if du == dw {
             // Equal levels (or both unreachable): the edge lies on no
             // shortest path from this source.
-            return None;
+            return false;
         }
         debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
-        let (far, far_nbrs, far_lvl) = if dw > du {
-            (self.w, &self.nbrs_w, dw)
+        let (far_nbrs, far_lvl) = if dw > du {
+            (self.nbrs_w, dw)
         } else {
-            (self.u, &self.nbrs_u, du)
+            (self.nbrs_u, du)
         };
         // Every neighbor sits on level far_lvl − 1, far_lvl, or
         // far_lvl + 1, so min + 1 == far_lvl exactly when an
         // alternate parent survives on the level below.
         let (min_plus, _) = kernels::gather_min_plus(row, far_nbrs);
-        (min_plus != far_lvl).then_some(far)
+        min_plus != far_lvl
     }
 }
 
-/// Stage A shared by [`DynamicApsp::update_deletion`] and
-/// [`masked_apsp_from_base`]: fills `roots` with each source row's repair
-/// root for deleting edge `uw` (`V::MAX` = row provably unchanged by the
-/// tight/alternate-parent filters, [`StageA::root`]) and returns the
-/// candidate count. `dm` is the pre-deletion matrix the rows are read
-/// from; the levels come from the contiguous rows of `u` and `w`.
-fn collect_repair_roots(
-    csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
-    dm: &DistanceMatrix,
-    u: V,
-    w: V,
-    roots: &mut Vec<V>,
-) -> usize {
+/// Stage A for deleting the one edge `edge` ([`StageA::marks`] per source
+/// row of the pre-deletion matrix `dm`): fills `marked` and returns the
+/// candidate count. `csr` must already lack the edge; the levels come from
+/// the contiguous rows of its endpoints.
+fn mark_rows(csr: &Csr, dm: &DistanceMatrix, edge: (V, V), marked: &mut Vec<bool>) -> usize {
     let n = dm.n();
-    roots.clear();
-    roots.resize(n, V::MAX);
-    let ru = dm.row(u);
-    let rw = dm.row(w);
-    let test = StageA::new(csr, mask, touch, u, w);
+    marked.clear();
+    marked.resize(n, false);
+    let ru = dm.row(edge.0);
+    let rw = dm.row(edge.1);
+    let test = StageA::new(csr, edge);
     let mut count = 0usize;
     for s in 0..n {
-        if let Some(far) = test.root(dm.row(s as V), ru[s], rw[s]) {
-            roots[s] = far;
+        if test.marks(dm.row(s as V), ru[s], rw[s]) {
+            marked[s] = true;
             count += 1;
         }
     }
     count
 }
 
-/// Stage B shared by [`DynamicApsp::update_deletion`] and
-/// [`masked_apsp_from_base`]: truncated per-row repair of every
-/// root-marked row of `d`, fanning out over the worker pool when both the
-/// problem and the candidate set are wide enough. Each row starts from the
-/// root stage A recorded for it.
-#[allow(clippy::too_many_arguments)]
-fn repair_marked_rows(
+/// Coarse stage A for several deleted edges: marks every row from which
+/// some deleted edge was tight, and returns the candidate count.
+fn mark_tight_rows(dm: &DistanceMatrix, deleted: &[(V, V)], marked: &mut Vec<bool>) -> usize {
+    let n = dm.n();
+    marked.clear();
+    marked.resize(n, false);
+    let mut count = 0usize;
+    for &(u, w) in deleted {
+        let ru = dm.row(u);
+        let rw = dm.row(w);
+        for s in 0..n {
+            if ru[s] != rw[s] && !marked[s] {
+                marked[s] = true;
+                count += 1;
+            }
+        }
+    }
+    count
+}
+
+/// Stage B of every deletion repair: [`repair_row`] over every marked row
+/// of `d`, fanning out over the worker pool when both the problem and the
+/// candidate set are wide enough. Returns `(walked, repaired)`, the rows
+/// whose walk found an affected vertex and the rows that changed.
+fn repair_rows(
     csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
-    roots: &[V],
+    deleted: &[(V, V)],
+    comps: Option<&Components>,
+    marked: &[bool],
     d: &mut [Dist],
-    n: usize,
     candidates: usize,
     ph: &'static PhaseHists,
-) {
-    let repair_one = |scratch: &mut RepairScratch, row: &mut [Dist], far: V| {
-        repair_row_kernel_single(scratch, csr, mask, touch, row, far, ph)
+) -> (usize, usize) {
+    let n = marked.len();
+    let repair_one = |scratch: &mut RepairScratch, s: usize, row: &mut [Dist]| {
+        repair_row(scratch, csr, deleted, comps, s as V, row, ph)
     };
-    if n < PAR_REPAIR_MIN_N || candidates < PAR_REPAIR_MIN_ROWS {
+    // Each row reports its own `(walked, changed)`: no counter is shared
+    // between workers.
+    let rows: Vec<(bool, bool)> = if n < PAR_REPAIR_MIN_N || candidates < PAR_REPAIR_MIN_ROWS {
         with_repair_scratch(n, |scratch| {
-            for s in 0..n {
-                let far = roots[s];
-                if far != V::MAX {
-                    repair_one(scratch, &mut d[s * n..(s + 1) * n], far);
-                }
-            }
-        });
+            d.chunks_mut(n)
+                .enumerate()
+                .filter(|&(s, _)| marked[s])
+                .map(|(s, row)| repair_one(scratch, s, row))
+                .collect()
+        })
     } else {
-        d.par_chunks_mut(n).enumerate().for_each(|(s, row)| {
-            let far = roots[s];
-            if far != V::MAX {
-                with_repair_scratch(n, |scratch| repair_one(scratch, row, far));
-            }
-        });
-    }
-}
-
-/// Neighbors of `v` in `csr` with at most one edge masked out: the
-/// not-yet-blended inserted edge during the deletion phase of a single
-/// swap, or the deleted edge itself when repairing off a base matrix whose
-/// CSR still contains it. Batches pass an empty mask: their deletion phase
-/// walks a CSR that already lacks the inserted edges
-/// ([`DynamicApsp::apply_batch`]).
-#[inline]
-fn masked_neighbors<'a>(
-    csr: &'a Csr,
-    v: V,
-    mask: &'a [(V, V)],
-    touch: &'a [bool],
-) -> impl Iterator<Item = V> + 'a {
-    // `touch[v]` answers "is v an endpoint of any masked edge?" in O(1):
-    // with one masked edge only its two endpoints pay the filter, and
-    // every other vertex's neighbors stream through unfiltered. The
-    // shortcut does not hold for a wide mask: a k-swap batch's endpoints
-    // cover nearly every vertex, and each of their neighbors would pay k
-    // comparisons — why batches do not mask.
-    let relevant = touch[v as usize];
-    csr.neighbors(v).iter().copied().filter(move |&t| {
-        !relevant
-            || !mask
-                .iter()
-                .any(|&(a, b)| (v == a && t == b) || (v == b && t == a))
-    })
-}
-
-/// Fills `touch` (resized to `n`) with the endpoint-incidence table of
-/// `mask` — the O(1) lookup behind [`masked_neighbors`].
-fn fill_mask_touch(touch: &mut Vec<bool>, n: usize, mask: &[(V, V)]) {
-    touch.clear();
-    touch.resize(n, false);
-    for &(a, b) in mask {
-        touch[a as usize] = true;
-        touch[b as usize] = true;
-    }
+        d.par_chunks_mut(n)
+            .enumerate()
+            .map(|(s, row)| {
+                if marked[s] {
+                    with_repair_scratch(n, |scratch| repair_one(scratch, s, row))
+                } else {
+                    (false, false)
+                }
+            })
+            .collect()
+    };
+    let walked = rows.iter().filter(|r| r.0).count();
+    (walked, rows.iter().filter(|r| r.1).count())
 }
 
 /// Bucketed multi-source Dijkstra over the affected set (phase 2's
 /// settle): pops candidates in distance order, finalizes each at its
 /// current candidate value, and relaxes affected unsettled neighbors.
-fn settle_buckets(
-    scratch: &mut RepairScratch,
-    csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
-    row: &mut [Dist],
-    max_bucket: usize,
-) {
+fn settle_buckets(scratch: &mut RepairScratch, csr: &Csr, row: &mut [Dist], max_bucket: usize) {
     let mut max_bucket = max_bucket;
     let mut dist = 0usize;
     while dist <= max_bucket {
@@ -1282,7 +1142,7 @@ fn settle_buckets(
             scratch.mark_settled(t);
             row[t as usize] = dist as Dist;
             let nd = dist as Dist + 1;
-            for nb in masked_neighbors(csr, t, mask, touch) {
+            for &nb in csr.neighbors(t) {
                 if scratch.is_affected(nb)
                     && !scratch.is_settled(nb)
                     && nd < scratch.cand[nb as usize]
@@ -1307,101 +1167,20 @@ fn write_unsettled_unreachable(scratch: &RepairScratch, row: &mut [Dist]) {
     }
 }
 
-/// Ramalingam–Reps truncated repair of one source row for a **single**
-/// deletion below `far` (which stage A proved has no alternate parent).
-/// Phase 1 collects the exactly-affected set — vertices whose *every*
-/// shortest path from the source used the deleted edge — on a FIFO
-/// frontier (one seed means FIFO order *is* level order, so no bucket
-/// machinery is paid); phase 2 re-settles it from its unaffected boundary
-/// ([`settle_affected_kernel`]). Pinned to full BFS rebuilds by
-/// `tests/dynamic_apsp_props.rs`.
-///
-/// Each popped candidate takes one **fused probe + gather** CSR scan: the
-/// scan renders the tight-parent verdict (early exit the moment an
-/// unaffected neighbor on the level below turns up — level marks below a
-/// candidate are final before it pops) while collecting the
-/// still-unmarked neighbors into the contiguous `idx` buffer. Affected
-/// candidates keep their segment (`queue_seg`) for
-/// [`settle_affected_kernel`]'s fused boundary relaxation and push
-/// level-below children from it instead of re-walking the CSR; `enqueued`
-/// marks dedupe frontier pushes. Each neighborhood is walked once and
-/// everything downstream reduces over the contiguous segments.
-fn repair_row_kernel_single(
-    scratch: &mut RepairScratch,
-    csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
-    row: &mut [Dist],
-    far: V,
-    ph: &PhaseHists,
-) {
-    let t0 = telemetry::stamp();
-    scratch.begin();
-    scratch.queue.clear();
-    scratch.queue_seg.clear();
-    scratch.idx.clear();
-    scratch.frontier.clear();
-    let epoch = scratch.epoch;
-    scratch.enqueued[far as usize] = epoch;
-    scratch.frontier.push(far);
-    let mut head = 0usize;
-    while head < scratch.frontier.len() {
-        let t = scratch.frontier[head];
-        head += 1;
-        let lt = row[t as usize];
-        let s = scratch.idx.len();
-        if probe_and_gather(
-            csr,
-            mask,
-            touch,
-            &scratch.affected,
-            epoch,
-            &mut scratch.idx,
-            row,
-            t,
-            lt - 1,
-        ) {
-            continue; // intact parent on level lt − 1
-        }
-        let e = scratch.idx.len();
-        scratch.affected[t as usize] = epoch;
-        scratch.queue.push(t);
-        scratch.queue_seg.push((s as u32, e as u32));
-        let child_level = lt + 1;
-        for p in s..e {
-            let nb = scratch.idx[p];
-            if row[nb as usize] == child_level && scratch.enqueued[nb as usize] != epoch {
-                scratch.enqueued[nb as usize] = epoch;
-                scratch.frontier.push(nb);
-            }
-        }
-    }
-    scratch.frontier.clear();
-    debug_assert!(
-        !scratch.queue.is_empty(),
-        "stage A only marks rows phase 1 will repair"
-    );
-    let t1 = telemetry::stamp();
-    ph.phase1.record_span(t0, t1);
-    settle_affected_kernel(scratch, csr, mask, touch, row);
-    ph.phase2.record_span(t1, telemetry::stamp());
-}
-
-/// Repair of one source row for a whole **batch** of deletions: the
-/// level-bucketed frontier walk batching its row reads through the kernel
-/// layer, inside the source's own component of the deletion phase's
-/// graph `H`, then a stamp over every other component. Returns
-/// `(walked, changed)`: whether the walk found an affected vertex, and
-/// whether the row changed at all. `csr` is `H`: it must already lack
-/// every edge in `deleted`, and the batch's not-yet-blended insertions
-/// too: [`DynamicApsp::apply_batch`] walks `G` minus them with an empty
-/// `mask`, so every vertex takes [`probe_and_gather`]'s unfiltered path.
-/// `comps` labels `H`'s components. Pinned to full BFS rebuilds by
-/// `tests/dynamic_apsp_props.rs`.
+/// Ramalingam–Reps truncated repair of one source row for any number of
+/// deletions: the level-bucketed frontier walk batching its row reads
+/// through the kernel layer, inside the source's own component of the
+/// deletion phase's graph `H`, then a stamp over every other component.
+/// Returns `(walked, changed)`: whether the walk found an affected vertex,
+/// and whether the row changed at all. `csr` is `H`: it must already lack
+/// every edge in `deleted`, and every insertion not yet blended. `comps`
+/// labels `H`'s components; without labels (the scans) the walk treats
+/// `H` as one component and walks a cut-off side instead of stamping it.
+/// Pinned to full BFS rebuilds by `tests/dynamic_apsp_props.rs`.
 ///
 /// **Seeds.** Far endpoints of tight deleted edges inside `source`'s
 /// component seed per-level buckets, processed in ascending level order
-/// (seeds sit at arbitrary levels, so a plain FIFO no longer suffices).
+/// (seeds sit at arbitrary levels, so a plain FIFO does not suffice).
 /// Every `H`-neighbor of a vertex lies in its component, so the walk
 /// never leaves the source's, and it still finds that component's whole
 /// affected set: an affected vertex either lost every parent to deleted
@@ -1409,16 +1188,18 @@ fn repair_row_kernel_single(
 ///
 /// **Phase 1.** With several deletions in flight the post-round graph
 /// keeps its cycles and alternate parents are common, so each candidate
-/// takes the early-exit tight-parent probe first; affected candidates
-/// then gather their still-unmarked masked neighbors once into the
-/// contiguous `idx` buffer, keep the segment (`queue_seg`) for phase 2,
-/// and push their level-below children from it instead of re-walking the
-/// CSR. `enqueued` marks dedupe bucket pushes.
+/// takes the early-exit tight-parent probe first ([`probe_and_gather`]);
+/// affected candidates keep the still-unmarked neighbors it gathered into
+/// the contiguous `idx` buffer as their segment (`queue_seg`) for phase
+/// 2, and push their level-below children from it instead of re-walking
+/// the CSR. `enqueued` marks dedupe bucket pushes.
 ///
 /// **Phase 2.** [`settle_affected_kernel`] — the batched boundary
 /// relaxation off the stored segments (one fused
-/// [`kernels::frontier_relax`] pass), then the shared settle. Every
-/// affected vertex is reachable inside the component, so all settle.
+/// [`kernels::frontier_relax`] pass), then the shared settle. With labels
+/// every affected vertex is reachable inside the component, so all
+/// settle; without, a cut-off side finds no boundary and is written
+/// unreachable.
 ///
 /// **Stamp.** The members of every other component are unreachable from
 /// `source` in `H`: the walker writes [`UNREACHABLE_D`] over them from
@@ -1427,17 +1208,12 @@ fn repair_row_kernel_single(
 /// found an affected vertex or the stamp overwrote a finite entry, so
 /// `rows_repaired` counts exactly the rows whose entries change, as a
 /// walk of the cut-off vertices would; an entry that was already
-/// unreachable before the batch does not count. The single-edge walker
-/// ([`repair_row_kernel_single`]), which also serves the scans, has no
-/// stamp and still walks a cut-off side.
-#[allow(clippy::too_many_arguments)]
-fn repair_row_kernel_batch(
+/// unreachable before the update does not count.
+fn repair_row(
     scratch: &mut RepairScratch,
     csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
     deleted: &[(V, V)],
-    comps: &Components,
+    comps: Option<&Components>,
     source: V,
     row: &mut [Dist],
     ph: &PhaseHists,
@@ -1451,7 +1227,7 @@ fn repair_row_kernel_batch(
     // Seed: the far endpoint of every tight deleted edge in the source's
     // component, bucketed at its own BFS level (deduplicated — edges may
     // share a far endpoint).
-    let own = comps.of(source);
+    let outside = |v: V| comps.is_some_and(|c| c.of(v) != c.of(source));
     let mut lvl = usize::MAX;
     let mut max_lvl = 0usize;
     for &(u, w) in deleted {
@@ -1462,7 +1238,7 @@ fn repair_row_kernel_batch(
         }
         debug_assert_eq!(du.abs_diff(dw), 1, "pre-deletion levels must be adjacent");
         let (far, far_lvl) = if dw > du { (w, dw) } else { (u, du) };
-        if comps.of(far) != own || scratch.enqueued[far as usize] == scratch.epoch {
+        if outside(far) || scratch.enqueued[far as usize] == scratch.epoch {
             continue; // another component's (stamped below), or already seeded
         }
         scratch.enqueued[far as usize] = scratch.epoch;
@@ -1472,11 +1248,7 @@ fn repair_row_kernel_batch(
     }
 
     // Phase 1: levels in ascending order; every level-(L−1) verdict is
-    // final before level L's candidates are examined. With several
-    // deletions in flight, alternate parents are common (the post-round
-    // graph keeps its cycles), so each candidate is first probed with the
-    // early-exit tight-parent test; only affected candidates pay the
-    // gather that feeds their child pushes and phase-2 segment.
+    // final before level L's candidates are examined.
     let epoch = scratch.epoch;
     while lvl <= max_lvl {
         std::mem::swap(&mut scratch.frontier, &mut scratch.buckets[lvl]);
@@ -1486,21 +1258,18 @@ fn repair_row_kernel_batch(
         }
         let cur = lvl as Dist;
         let child_level = cur + 1;
-        let parent_level = cur - 1;
         for fi in 0..scratch.frontier.len() {
             let t = scratch.frontier[fi];
             debug_assert_eq!(row[t as usize] as usize, lvl);
             let s = scratch.idx.len();
             if probe_and_gather(
                 csr,
-                mask,
-                touch,
                 &scratch.affected,
                 epoch,
                 &mut scratch.idx,
                 row,
                 t,
-                parent_level,
+                cur - 1,
             ) {
                 continue; // intact parent on level cur − 1
             }
@@ -1524,13 +1293,13 @@ fn repair_row_kernel_batch(
     ph.phase1.record_span(t0, t1);
     let walked = !scratch.queue.is_empty();
     if walked {
-        settle_affected_kernel(scratch, csr, mask, touch, row);
+        settle_affected_kernel(scratch, csr, row);
     }
 
     // Stamp: every other component is unreachable from the source (none
-    // when `H` is connected).
+    // when `H` is connected or unlabelled).
     let mut changed = walked;
-    for part in comps.outside(source) {
+    for part in comps.map_or([&[][..]; 2], |c| c.outside(source)) {
         for &v in part {
             let d = &mut row[v as usize];
             changed |= *d != UNREACHABLE_D;
@@ -1543,20 +1312,17 @@ fn repair_row_kernel_batch(
     (walked, changed)
 }
 
-/// Fused probe + gather of one phase-1 candidate, shared by both
-/// walkers: one CSR scan both renders the tight-parent verdict (early
-/// exit the moment an unaffected neighbor on `parent_level` turns up —
-/// the common case on cyclic graphs) and collects the candidate's
-/// still-unmarked masked neighbors into `idx`. Returns `true` — with the
-/// partial gather rolled back — when an intact parent survives, i.e. the
-/// candidate is *not* affected. `affected` and `epoch` are the scratch's
-/// mark state, passed as fields so the caller keeps its other borrows.
-#[allow(clippy::too_many_arguments)]
+/// Fused probe + gather of one phase-1 candidate: one CSR scan both
+/// renders the tight-parent verdict (early exit the moment an unaffected
+/// neighbor on `parent_level` turns up — the common case on cyclic
+/// graphs) and collects the candidate's still-unmarked neighbors into
+/// `idx`. Returns `true` — with the partial gather rolled back — when an
+/// intact parent survives, i.e. the candidate is *not* affected.
+/// `affected` and `epoch` are the scratch's mark state, passed as fields
+/// so the caller keeps its other borrows.
 #[inline]
 fn probe_and_gather(
     csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
     affected: &[u32],
     epoch: u32,
     idx: &mut Vec<V>,
@@ -1565,38 +1331,19 @@ fn probe_and_gather(
     parent_level: Dist,
 ) -> bool {
     let s = idx.len();
-    let mut intact = false;
-    if touch[t as usize] {
-        for z in masked_neighbors(csr, t, mask, touch) {
-            if affected[z as usize] != epoch {
-                if row[z as usize] == parent_level {
-                    intact = true;
-                    break;
-                }
-                idx.push(z);
+    for &z in csr.neighbors(t) {
+        if affected[z as usize] != epoch {
+            if row[z as usize] == parent_level {
+                idx.truncate(s); // discard the partial segment
+                return true;
             }
-        }
-    } else {
-        // Fast path: `t` touches no masked edge, so its neighbor list
-        // streams through without the mask filter.
-        for &z in csr.neighbors(t) {
-            if affected[z as usize] != epoch {
-                if row[z as usize] == parent_level {
-                    intact = true;
-                    break;
-                }
-                idx.push(z);
-            }
+            idx.push(z);
         }
     }
-    if intact {
-        idx.truncate(s); // discard the partial segment
-    }
-    intact
+    false
 }
 
-/// Phase 2, shared by the single-edge and batch walkers: the batched
-/// boundary relaxation. Each affected vertex's
+/// Phase 2: the batched boundary relaxation. Each affected vertex's
 /// **stored** phase-1 segment is re-filtered by the final affected marks
 /// into one contiguous boundary buffer (the stored set contains every
 /// neighbor that was unmarked when the vertex was examined — a superset
@@ -1606,13 +1353,7 @@ fn probe_and_gather(
 /// segment in one fused pass, with no second walk of the CSR. When no
 /// vertex finds a boundary at all the whole set is provably disconnected
 /// and the settle is skipped outright.
-fn settle_affected_kernel(
-    scratch: &mut RepairScratch,
-    csr: &Csr,
-    mask: &[(V, V)],
-    touch: &[bool],
-    row: &mut [Dist],
-) {
+fn settle_affected_kernel(scratch: &mut RepairScratch, csr: &Csr, row: &mut [Dist]) {
     let epoch = scratch.epoch;
     // Re-filter every stored segment into `members`, with fresh offsets
     // in `seg` (both free after phase 1).
@@ -1649,7 +1390,7 @@ fn settle_affected_kernel(
             max_bucket = max_bucket.max(b);
         }
     }
-    settle_buckets(scratch, csr, mask, touch, row, max_bucket);
+    settle_buckets(scratch, csr, row, max_bucket);
     write_unsettled_unreachable(scratch, row);
 }
 
@@ -1678,24 +1419,21 @@ fn blend_row_cost(
     Some(kernels::fused_blend_cost(row, &[term]))
 }
 
-/// Buffers [`DynamicApsp::apply_batch`] keeps across barriers: the
-/// deletion phase's CSR and its component labels, and the batched
-/// blend's endpoint plan, working rows, snapshots and compact endpoint
-/// rows.
+/// Buffers [`DynamicApsp`] keeps across updates: the deletion phase's
+/// CSR and its component labels, and the batched blend's endpoint plan,
+/// working rows, snapshots and compact endpoint rows.
 #[derive(Debug, Clone)]
 struct BatchScratch {
-    /// `G` minus the batch's insertions, the graph the deletion phase
-    /// walks, with [`Csr::refill_without`]'s grouping scratch.
+    /// `G` minus the update's insertions, the graph the deletion phase
+    /// walks, with [`Csr::refill_without`]'s scratch.
     csr: Csr,
-    at: Vec<u32>,
-    far: Vec<V>,
-    gone: Vec<V>,
+    cut: Vec<u32>,
     /// The connected components of the graph the deletion phase walks
     /// (`csr` above, or the caller's snapshot when nothing is inserted),
-    /// labelled once per barrier that has repair candidates. The batch
-    /// walker seeds only inside a row's own component and stamps the
-    /// others unreachable; the single-edge path and the scans keep no
-    /// labels and still walk a cut-off side.
+    /// labelled once per update that has repair candidates. The walker
+    /// seeds only inside a row's own component and stamps the others
+    /// unreachable; the scans keep no labels and still walk a cut-off
+    /// side.
     comps: Components,
     /// Endpoint slot of every vertex (`u32::MAX` = not an endpoint).
     slot: Vec<u32>,
@@ -1724,9 +1462,7 @@ impl BatchScratch {
     fn new() -> Self {
         BatchScratch {
             csr: Csr::from_adjacency(&[]),
-            at: Vec::new(),
-            far: Vec::new(),
-            gone: Vec::new(),
+            cut: Vec::new(),
             comps: Components::default(),
             slot: Vec::new(),
             ends: Vec::new(),
@@ -1869,8 +1605,7 @@ struct RepairScratch {
     queue: Vec<V>,
     cand: Vec<Dist>,
     buckets: Vec<Vec<V>>,
-    /// Current frontier being examined: the FIFO of the single-edge walk,
-    /// or one level bucket of the batch walk.
+    /// The level bucket phase 1 is examining.
     frontier: Vec<V>,
     /// Phase-2 boundary buffer: every affected vertex's still-unaffected
     /// boundary ids, concatenated (offsets in `seg`).
@@ -2025,12 +1760,14 @@ mod tests {
     fn tree_bridge_deletion_repairs_every_row_and_stays_exact() {
         // Deleting a tree edge affects every source: all n rows are repair
         // candidates, and the matrix must report the disconnection exactly.
+        // Each row stamps the side it loses instead of walking it.
         let mut g = classic::path(9);
         let mut da = DynamicApsp::build(&g.to_csr());
         g.remove_edge(4, 5);
         da.apply_deletion(&g.to_csr(), 4, 5);
         assert_eq!(da.stats().last_repair_candidates, g.n());
         assert_eq!(da.stats().last_rows_repaired, g.n());
+        assert_eq!(da.stats().last_rows_walked, 0);
         assert_exact(&da, &g);
         assert_eq!(da.matrix().get(0, 8), crate::UNREACHABLE);
         // Reconnect somewhere else; the blend must restore exactness.

@@ -37,8 +37,8 @@
 //!
 //! The **frontier kernels** ([`gather_min_plus`], [`frontier_relax`])
 //! serve the *deletion* side of the repair cycle: the Ramalingam–Reps
-//! walkers in [`crate::dynamic`] gather each frontier's candidate
-//! neighborhoods into contiguous scratch buffers and render stage A's
+//! walker in [`crate::dynamic`] gathers each frontier's candidate
+//! neighborhoods into contiguous scratch buffers and renders stage A's
 //! alternate-parent test and phase 2's boundary seeds as batched min-plus
 //! reductions over those buffers, instead of chasing the CSR one neighbor
 //! at a time. The gathers themselves stay scalar (no portable `u16`
@@ -49,7 +49,7 @@
 //!
 //! A finite distance must stay `≤` [`MAX_FINITE_DIST`] (`u16::MAX − 2`):
 //! this keeps `d + 1` representable without colliding with the sentinel,
-//! so level comparisons in the repair walkers stay exact. The checked
+//! so level comparisons in the repair walker stay exact. The checked
 //! narrowing seam from the `u32` BFS layer ([`narrow_checked`]) panics —
 //! rather than wraps — on any finite distance that does not fit, and the
 //! matrix builders reject `n > MAX_FINITE_DIST + 1` outright.
@@ -67,7 +67,7 @@ pub const UNREACHABLE_D: Dist = Dist::MAX;
 
 /// Largest finite distance a compact row may hold. One below the sentinel
 /// would make `d + 1` collide with [`UNREACHABLE_D`] in the repair
-/// walkers' level arithmetic, so two slots are reserved.
+/// walker's level arithmetic, so two slots are reserved.
 pub const MAX_FINITE_DIST: Dist = Dist::MAX - 2;
 
 /// Infinite row sum: the aggregate of a row with an unreachable entry.
@@ -997,7 +997,7 @@ pub fn fused_blend_cost(row: &mut [Dist], terms: &[BlendTerm<'_>]) -> RowCost {
 /// of the **first** entry attaining the raw minimum. An empty frontier
 /// yields `(UNREACHABLE_D, u32::MAX)`.
 ///
-/// This is the primitive under the deletion-repair walkers' tight-parent
+/// This is the primitive under the deletion-repair walker's tight-parent
 /// test (`min + 1 == level(far)` ⟺ an alternate parent survives) and
 /// per-vertex boundary seeding; see [`crate::dynamic`].
 ///

@@ -41,7 +41,7 @@
 //!   [`UNREACHABLE_D`] (`u16::MAX`), chosen so lane-saturating adds
 //!   implement "unreachable + 1 = unreachable" branch-free; finite
 //!   distances stay `≤` [`MAX_FINITE_DIST`] (`u16::MAX − 2`, so `d + 1`
-//!   can never collide with the sentinel in the repair walkers' level
+//!   can never collide with the sentinel in the repair walker's level
 //!   arithmetic). Builders reject `n > 65 534` up front.
 //! * **Wide** (`u32`, sentinel [`UNREACHABLE`]): the BFS scratch layer and
 //!   the widening scalar accessors ([`DistanceMatrix::get`] and friends),

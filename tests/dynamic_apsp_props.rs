@@ -21,10 +21,11 @@
 use bncg::game::context::EvalContext;
 use bncg::game::objective::{MaxObjective, Objective, SumObjective};
 use bncg::graph::adjacency::{Edge, SwapApplied};
+use bncg::graph::components::connected_components;
 use bncg::graph::dynamic::DynamicApsp;
 use bncg::graph::generators::random::{gnp, random_connected, random_tree};
 use bncg::graph::kernels;
-use bncg::graph::{Csr, DistanceMatrix, Graph, V};
+use bncg::graph::{DistanceMatrix, Graph, V};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,43 +83,68 @@ fn assert_byte_identical(da: &DynamicApsp, g: &Graph, context: &str) {
     fresh.recycle();
 }
 
-/// Number of source rows that deleting `vw` from `before` changes, by two
-/// full BFS builds. Stage A marks a row exactly when the far endpoint
-/// loses its last parent, which is exactly when the row changes, so this
-/// is the exact `last_repair_candidates` of the deletion.
-fn rows_changed_by_deletion(before: &Csr, v: V, w: V) -> usize {
-    let full = DistanceMatrix::build(before);
-    let masked = DistanceMatrix::build_masked(before, (v, w));
-    (0..full.n() as V)
-        .filter(|&s| full.row(s) != masked.row(s))
+/// Number of source rows on which `a` and `b` differ.
+fn rows_differing(a: &DistanceMatrix, b: &DistanceMatrix) -> usize {
+    (0..a.n() as V).filter(|&s| a.row(s) != b.row(s)).count()
+}
+
+/// Number of source rows with an entry that changes from `before` to
+/// `after` and stays finite: the rows a deletion repair must walk. A row
+/// whose only change is a component cut off is stamped, not walked.
+fn rows_walked(before: &DistanceMatrix, after: &DistanceMatrix) -> usize {
+    (0..before.n() as V)
+        .filter(|&s| {
+            before
+                .row(s)
+                .iter()
+                .zip(after.row(s))
+                .any(|(&a, &b)| a != b && b != kernels::UNREACHABLE_D)
+        })
         .count()
 }
 
-/// Replays `steps` random swaps on `g`, checking the maintained matrix
-/// against a full rebuild and stage A's candidate count against
-/// [`rows_changed_by_deletion`] after every step. Returns the number of
-/// steps actually applied.
+/// Applies the swap `(v, w, w2)` to `g` through `apply_swap` and checks
+/// `da` against BFS builds after it: the matrix against the post-swap
+/// graph, and for a deletion the counters against the pre-swap graph
+/// with and without `vw`. Stage A marks a row exactly when the far
+/// endpoint loses its last parent, which is exactly when the row changes,
+/// so `last_repair_candidates` and `last_rows_repaired` both equal the
+/// rows the deletion changes; `last_rows_walked` equals [`rows_walked`].
+fn apply_and_check_swap(da: &mut DynamicApsp, g: &mut Graph, (v, w, w2): (V, V, V), context: &str) {
+    let before = g.to_csr();
+    let rec = g.apply_swap(v, w, w2);
+    da.apply_swap(&g.to_csr(), &rec);
+    assert_byte_identical(da, g, context);
+    if let SwapApplied::Deleted { v, w } | SwapApplied::Swapped { v, w, .. } = rec {
+        let full = DistanceMatrix::build(&before);
+        let masked = DistanceMatrix::build_masked(&before, (v, w));
+        let stats = da.stats();
+        let changed = rows_differing(&full, &masked);
+        assert_eq!(
+            stats.last_repair_candidates, changed,
+            "stage A marked a row the deletion leaves unchanged, or missed one ({context})"
+        );
+        assert_eq!(stats.last_rows_repaired, changed, "({context})");
+        assert_eq!(
+            stats.last_rows_walked,
+            rows_walked(&full, &masked),
+            "walked rows != rows with an entry that changes and stays finite ({context})"
+        );
+    }
+}
+
+/// Replays `steps` random swaps on `g` through [`apply_and_check_swap`].
+/// Returns the number of steps actually applied.
 fn replay_and_check(mut g: Graph, seed: u64, steps: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut da = DynamicApsp::build(&g.to_csr());
     let mut applied = 0;
     for step in 0..steps {
-        let Some((v, w, w2)) = random_swap(&mut rng, &g) else {
+        let Some(mv) = random_swap(&mut rng, &g) else {
             break;
         };
-        let before = g.to_csr();
-        let rec = g.apply_swap(v, w, w2);
-        da.apply_swap(&g.to_csr(), &rec);
+        apply_and_check_swap(&mut da, &mut g, mv, &format!("step {step}"));
         applied += 1;
-        assert_byte_identical(&da, &g, &format!("step {step}"));
-        if let SwapApplied::Deleted { v, w } | SwapApplied::Swapped { v, w, .. } = rec {
-            assert_eq!(
-                da.stats().last_repair_candidates,
-                rows_changed_by_deletion(&before, v, w),
-                "stage A marked a row the deletion leaves unchanged, or missed one \
-                 (step {step})"
-            );
-        }
     }
     applied
 }
@@ -180,20 +206,13 @@ fn synth_batch<R: Rng>(rng: &mut R, g: &Graph, k: usize) -> Vec<(V, V, V)> {
     batch
 }
 
-/// Number of source rows on which `a` and `b` differ.
-fn rows_differing(a: &DistanceMatrix, b: &DistanceMatrix) -> usize {
-    (0..a.n() as V).filter(|&s| a.row(s) != b.row(s)).count()
-}
-
 /// Applies `moves` to `g` as one round barrier and checks `da` against
 /// BFS builds of three graphs: the pre-batch graph, `G − inserted` (the
 /// pre-batch graph minus the deleted edges) and the post-batch `G`. The
 /// matrix must equal the build of `G`; the batch counters must count
 /// exactly the rows the deletion phase changed (`last_rows_repaired`),
-/// the rows whose deletion repair walked (`last_rows_walked`: for a
-/// one-swap batch the repaired rows, for several deletions the rows with
-/// an entry that changes and stays finite — a component the batch cuts
-/// off is stamped, not walked), the rows the blend changed
+/// the rows whose deletion repair walked ([`rows_walked`]), the rows the
+/// blend changed
 /// (`last_rows_blended`) and stage A's candidates — the rows where some
 /// deleted edge is tight, or for a one-swap batch the rows its deletion
 /// changes; every row aggregate must equal the fresh row's.
@@ -231,21 +250,9 @@ fn apply_and_check_batch(da: &mut DynamicApsp, g: &mut Graph, moves: &[(V, V, V)
         rows_differing(&before, &mid),
         "repaired rows != rows the deletions change ({context})"
     );
-    let walked = match deleted.len() {
-        0 => 0,
-        1 => stats.last_rows_repaired,
-        _ => (0..before.n() as V)
-            .filter(|&s| {
-                before
-                    .row(s)
-                    .iter()
-                    .zip(mid.row(s))
-                    .any(|(&a, &b)| a != b && b != kernels::UNREACHABLE_D)
-            })
-            .count(),
-    };
     assert_eq!(
-        stats.last_rows_walked, walked,
+        stats.last_rows_walked,
+        rows_walked(&before, &mid),
         "walked rows != rows with an entry that changes and stays finite ({context})"
     );
     assert_eq!(
@@ -521,6 +528,67 @@ fn cut_batches_match_bfs() {
             "{family}: every swap must delete only"
         );
     }
+}
+
+/// Picks a random swap `(v, w, w2)` of the forest `g` that leaves a
+/// forest: about one in six is deletion-degenerate (`w2` another neighbor
+/// of `v`, so the record is `SwapApplied::Deleted`), the rest move `vw`
+/// to a `w2` off `v`'s side of `G − vw` — on `w`'s side, or in another
+/// component, which the swap joins to `v`'s.
+fn forest_swap<R: Rng>(rng: &mut R, g: &Graph) -> (V, V, V) {
+    let edges = g.edge_vec();
+    let e = edges[rng.gen_range(0..edges.len())];
+    let (v, w) = if rng.gen_bool(0.5) {
+        (e.u, e.v)
+    } else {
+        (e.v, e.u)
+    };
+    let others: Vec<V> = g.neighbors(v).iter().copied().filter(|&x| x != w).collect();
+    if !others.is_empty() && rng.gen_range(0..6u32) == 0 {
+        return (v, w, others[rng.gen_range(0..others.len())]);
+    }
+    let mut off = vec![true; g.n()];
+    for x in far_side(g, w, v) {
+        off[x as usize] = false; // v's side of G − vw
+    }
+    off[w as usize] = false;
+    let free: Vec<V> = (0..g.n() as V).filter(|&x| off[x as usize]).collect();
+    if free.is_empty() {
+        return (v, w, w); // a no-op: only `w` itself is off v's side
+    }
+    (v, w, free[rng.gen_range(0..free.len())])
+}
+
+#[test]
+fn forest_swaps_walk_no_row() {
+    // Single swaps on trees and forests through `apply_swap`: every
+    // deletion on a forest cuts a component off, which each row stamps
+    // unreachable instead of walking, so no swap walks a row — on top of
+    // the BFS and counter checks of `apply_and_check_swap`.
+    let mut rng = StdRng::seed_from_u64(0xF0_2E57);
+    let mut total = 0usize;
+    for n in [64usize, 256] {
+        for cuts in [0usize, 5] {
+            let mut g = random_tree(&mut rng, n);
+            for _ in 0..cuts {
+                let e = g.edge_vec()[rng.gen_range(0..g.m())];
+                g.remove_edge(e.u, e.v);
+            }
+            let mut da = DynamicApsp::build(&g.to_csr());
+            for step in 0..60 {
+                let context = format!("n = {n}, {cuts} cuts, step {step}");
+                let (_, count) = connected_components(&g);
+                assert_eq!(g.m() + count, g.n(), "not a forest ({context})");
+                let mv = forest_swap(&mut rng, &g);
+                apply_and_check_swap(&mut da, &mut g, mv, &context);
+                if mv.1 != mv.2 {
+                    assert_eq!(da.stats().last_rows_walked, 0, "a row walked ({context})");
+                    total += 1;
+                }
+            }
+        }
+    }
+    assert!(total >= 200, "only {total} forest swaps verified");
 }
 
 #[test]
